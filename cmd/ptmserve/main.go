@@ -17,8 +17,11 @@
 //	    With -durable (the default), acked writes are additionally
 //	    journaled to <image>.wal before each acknowledgment, so even
 //	    SIGKILL — which never reaches the image-save path — loses
-//	    nothing the server confirmed. -durable=false drops that
-//	    guarantee (the soak harness's self-test runs it on purpose).
+//	    nothing the server confirmed. The journal is written, never
+//	    fsynced: it guards against process death, which keeps the page
+//	    cache; power loss is the simulated machine's failure domain.
+//	    -durable=false drops the guarantee (the soak harness's
+//	    self-test runs it on purpose).
 //
 // Load-simulator mode:
 //
@@ -40,9 +43,13 @@
 //
 // Shared knobs: -algo redo|undo|htm, -domain ADR|eADR|..., -shards,
 // -maxbatch, -window (batch window ns), -deadline (shed deadline ns),
-// -queue (per-shard depth), -adaptive plus -adapt-* controller bounds
-// and gains. See docs/SERVING.md for the protocol subset, the
-// pipelined connection design, and the controller.
+// -queue (per-shard depth), -adaptive (the AIMD group-commit
+// controller; its bounds and gains are constants, see adaptiveCtrl).
+// Every number the server reports — memcached stats, -telemetry's
+// /metrics and /snapshot, the flight sidecar's samples — is a
+// rendering of one server.Snapshot. See docs/SERVING.md for the
+// protocol subset, the pipelined connection design, and the
+// controller.
 package main
 
 import (
@@ -58,7 +65,6 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
-	"goptm/internal/metrics"
 	"goptm/internal/obs"
 	"goptm/internal/server"
 	"goptm/internal/server/loadsim"
@@ -77,6 +83,13 @@ func writeTraceFile(path string, rec *obs.Recorder) error {
 	return f.Close()
 }
 
+// adaptiveCtrl bounds the -adaptive controller. Only the batch-cap
+// ceiling departs from CtrlConfig's defaults (cap floor 1, window 0 to
+// 16384 ns, evaluate every 8192 ns, +4 ops / +1024 ns per pressured
+// step): 32 is the ceiling results/BENCH_9.json was swept with, and
+// the store's log sizing clamps it further.
+var adaptiveCtrl = server.CtrlConfig{MaxBatch: 32}
+
 func main() {
 	listen := flag.String("listen", ":11211", "TCP listen address (server mode)")
 	image := flag.String("image", "", "NVM media image file: reopened on start if present, saved on shutdown")
@@ -88,16 +101,9 @@ func main() {
 	deadlineNS := flag.Int64("deadline", 1_000_000, "shed requests older than this, virtual ns; -1 disables")
 	queueDepth := flag.Int("queue", 256, "per-shard request queue depth")
 	heapWords := flag.Uint64("heap", 0, "persistent heap words (0 = default 1<<21); smaller heaps make smaller images")
-	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and fsync-barrier every ack, so a process kill loses nothing acknowledged")
+	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and flush the journal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged")
 
 	adaptive := flag.Bool("adaptive", false, "drive each shard's (batch cap, window) with the AIMD group-commit controller; -maxbatch/-window become the starting point")
-	adaptMaxBatch := flag.Int("adapt-maxbatch", 32, "adaptive: controller upper batch-cap bound (clamped to the store's log sizing)")
-	adaptMinBatch := flag.Int("adapt-minbatch", 1, "adaptive: controller lower batch-cap bound")
-	adaptMaxWindow := flag.Int64("adapt-maxwindow", 16384, "adaptive: controller upper group-commit window bound, virtual ns")
-	adaptMinWindow := flag.Int64("adapt-minwindow", 0, "adaptive: controller lower group-commit window bound, virtual ns")
-	adaptInterval := flag.Int64("adapt-interval", 8192, "adaptive: controller evaluation interval, virtual ns")
-	adaptBatchStep := flag.Int("adapt-batchstep", 4, "adaptive: additive batch-cap increase per pressured step")
-	adaptWindowStep := flag.Int64("adapt-windowstep", 1024, "adaptive: additive window increase per pressured step, virtual ns")
 
 	loadsimMode := flag.Bool("loadsim", false, "run the deterministic open-loop load simulator instead of serving TCP")
 	rate := flag.Float64("rate", 2e6, "loadsim: arrivals per virtual second")
@@ -116,7 +122,6 @@ func main() {
 
 	telemetry := flag.String("telemetry", "", "server mode: serve /metrics (Prometheus text), /snapshot (JSON), and /healthz on this loopback address; empty (the default) disables")
 	flightSize := flag.Int("flight", 4096, "server mode with -image: flight-recorder ring size, mirrored to <image>.flight for post-SIGKILL harvest; 0 disables")
-	flightInterval := flag.Duration("flight-interval", 200*time.Millisecond, "flight-recorder sidecar mirror interval (host time)")
 	tracePath := flag.String("trace", "", "write a Perfetto-JSON trace here on exit: sampled request-lifecycle chains (server mode on wall time, loadsim on virtual time)")
 	traceSample := flag.Int("tracesample", 64, "with -trace: sample ~1 in N requests through the lifecycle span chain (1 = every request)")
 	traceSeed := flag.Uint64("traceseed", 1, "with -trace: deterministic request-sampling seed")
@@ -143,16 +148,6 @@ func main() {
 		fail(err)
 	}
 
-	ctrl := server.CtrlConfig{
-		MinBatch:       *adaptMinBatch,
-		MaxBatch:       *adaptMaxBatch,
-		MinWindowNS:    *adaptMinWindow,
-		MaxWindowNS:    *adaptMaxWindow,
-		EvalIntervalNS: *adaptInterval,
-		BatchStep:      *adaptBatchStep,
-		WindowStepNS:   *adaptWindowStep,
-	}
-
 	if *rateSweep != "" {
 		rates, err := loadsim.ParseRates(*rateSweep)
 		if err != nil {
@@ -172,7 +167,7 @@ func main() {
 				Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
 				Requests: *requests, Seed: *seed, Warmup: *warmup,
 				DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-				Ctrl: ctrl,
+				Ctrl: adaptiveCtrl,
 			},
 			Rates:   rates,
 			Statics: pts,
@@ -212,7 +207,7 @@ func main() {
 			Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
 			Rate: *rate, Requests: *requests, Seed: *seed, Warmup: *warmup,
 			BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-			Adaptive: *adaptive, Ctrl: ctrl,
+			Adaptive: *adaptive, Ctrl: adaptiveCtrl,
 			Recorder: rec, TraceSample: *traceSample, TraceSeed: *traceSeed,
 		}, sizes)
 		if err != nil {
@@ -277,26 +272,13 @@ func main() {
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
 		IdleSleep:  50 * time.Microsecond,
 		DurableAck: journaled,
-		Adaptive:   *adaptive, Ctrl: ctrl,
+		Adaptive:   *adaptive, Ctrl: adaptiveCtrl,
 		TraceSample: *traceSample, TraceSeed: *traceSeed,
 		WallClock: true, TraceRecorder: rec,
 		Flight: fr,
 	})
 	if fr != nil {
-		fr.StartMirror(server.FlightPath(*image), *flightInterval, func() server.FlightSample {
-			m := st.TM().Metrics()
-			ctrs := make(map[string]int64, metrics.NumCounters)
-			for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
-				if v := m.Get(c); v != 0 {
-					ctrs[c.String()] = v
-				}
-			}
-			return server.FlightSample{
-				WallNS:     time.Now().UnixNano(),
-				QueueDepth: exec.QueueDepth(),
-				Counters:   ctrs,
-			}
-		})
+		fr.StartMirror(server.FlightPath(*image), 0, exec.Snapshot)
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -311,7 +293,7 @@ func main() {
 		ln.Addr(), *algoName, domain, *shards, exec.Config().MaxBatch, mode)
 	var tel *server.Telemetry
 	if *telemetry != "" {
-		tel, err = server.StartTelemetry(*telemetry, st, exec, fr)
+		tel, err = server.StartTelemetry(*telemetry, exec)
 		if err != nil {
 			fail(err)
 		}
@@ -341,13 +323,7 @@ func main() {
 	if *image != "" {
 		// Power-failure semantics on purpose: the domain policy decides
 		// what survives, and the next start runs true crash recovery.
-		var vt int64
-		for i := 0; i < *shards; i++ {
-			if t := exec.ShardVT(i); t > vt {
-				vt = t
-			}
-		}
-		st.Crash(vt)
+		st.Crash(exec.LastVT())
 		if err := st.SaveImage(*image); err != nil {
 			fail(err)
 		}

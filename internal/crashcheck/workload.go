@@ -5,6 +5,7 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/memdev"
+	"goptm/internal/simtime"
 )
 
 // A Workload is a deterministic transactional program the checker can
@@ -36,18 +37,10 @@ type Workload interface {
 	ReadCells(tm *core.TM, th *core.Thread) []uint64
 }
 
-// splitmix64 is the standard SplitMix64 finalizer; op parameters are
-// derived from it so they depend only on (seed, index).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// opRand derives the deterministic random word for op i.
+// opRand derives the deterministic random word for op i, so op
+// parameters depend only on (seed, index).
 func opRand(seed uint64, i int) uint64 {
-	return splitmix64(seed ^ splitmix64(uint64(i)+1))
+	return simtime.SplitMix64(seed ^ simtime.SplitMix64(uint64(i)+1))
 }
 
 // rootSlot is the heap root slot the workloads publish their cell

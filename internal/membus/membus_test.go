@@ -272,7 +272,7 @@ func TestEvictionTraffic(t *testing.T) {
 	for i := 0; i < 8192; i++ {
 		c.Store(memdev.Addr(i*memdev.WordsPerLine), uint64(i))
 	}
-	accepts, _ := b.Controller().Stats()
+	accepts := b.Controller().Counters().Accepts
 	if accepts == 0 {
 		t.Fatal("no natural writeback traffic reached the WPQ")
 	}
@@ -396,7 +396,7 @@ func TestNTStoreCoalescesSameLine(t *testing.T) {
 		c.NTStore(memdev.Addr(w), uint64(w+1))
 	}
 	c.SFence()
-	accepts, _ := b.Controller().Stats()
+	accepts := b.Controller().Counters().Accepts
 	if accepts != 1 {
 		t.Fatalf("8 same-line NT stores produced %d WPQ entries, want 1", accepts)
 	}
@@ -483,7 +483,7 @@ func TestPDRAMWritebackStaysOffNVMPorts(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		c.Store(memdev.Addr((i%2048)*memdev.WordsPerLine%(1<<16)), uint64(i))
 	}
-	accepts, _ := b.Controller().Stats()
+	accepts := b.Controller().Counters().Accepts
 	if accepts != 0 {
 		t.Fatalf("PDRAM line evictions reached the WPQ: %d accepts", accepts)
 	}

@@ -52,7 +52,7 @@ func TestConcurrentBusRace(t *testing.T) {
 					bus.Device().Counters()
 					bus.Device().PendingLines()
 					bus.Cache().HitRate()
-					bus.Controller().Stats()
+					bus.Controller().Counters()
 					bus.RoutedPageCount()
 				}
 			}

@@ -23,6 +23,8 @@ import (
 	"net"
 	"strconv"
 	"time"
+
+	"goptm/internal/simtime"
 )
 
 // Config parameterizes a Client. Zero values select the defaults
@@ -120,14 +122,8 @@ func (c *Client) Close() {
 	}
 }
 
-// splitmix64 steps the jitter stream.
-func (c *Client) splitmix64() uint64 {
-	c.rng += 0x9e3779b97f4a7c15
-	z := c.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// jitter steps the seeded jitter stream.
+func (c *Client) jitter() uint64 { return simtime.SplitMix64Next(&c.rng) }
 
 // backoff sleeps before retry attempt (1-based), exponentially
 // growing and jittered to a uniform [0.5,1.0) fraction so a fleet of
@@ -137,7 +133,7 @@ func (c *Client) backoff(attempt int) {
 	if d > c.cfg.BackoffMax || d <= 0 {
 		d = c.cfg.BackoffMax
 	}
-	frac := 0.5 + float64(c.splitmix64()>>11)/float64(1<<53)/2
+	frac := 0.5 + float64(c.jitter()>>11)/float64(1<<53)/2
 	time.Sleep(time.Duration(float64(d) * frac))
 }
 

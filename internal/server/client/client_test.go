@@ -229,12 +229,12 @@ func TestClientErrorIsTerminal(t *testing.T) {
 func TestJitterDeterministic(t *testing.T) {
 	a, b := New(Config{Addr: "x", Seed: 9}), New(Config{Addr: "x", Seed: 9})
 	for i := 0; i < 16; i++ {
-		if av, bv := a.splitmix64(), b.splitmix64(); av != bv {
+		if av, bv := a.jitter(), b.jitter(); av != bv {
 			t.Fatalf("jitter diverged at step %d: %d != %d", i, av, bv)
 		}
 	}
 	c := New(Config{Addr: "x", Seed: 10})
-	if a.splitmix64() == c.splitmix64() {
+	if a.jitter() == c.jitter() {
 		t.Fatal("different seeds produced identical first step")
 	}
 }

@@ -141,8 +141,8 @@ type ctrl struct {
 // place a static one does and walks away only as the signals demand.
 func newCtrl(cfg CtrlConfig, startCap int, startWindow, deadline int64) *ctrl {
 	c := &ctrl{cfg: cfg, deadline: deadline}
-	c.cap.Store(int64(clampInt(startCap, cfg.MinBatch, cfg.MaxBatch)))
-	c.window.Store(clamp64(startWindow, cfg.MinWindowNS, cfg.MaxWindowNS))
+	c.cap.Store(int64(min(max(startCap, cfg.MinBatch), cfg.MaxBatch)))
+	c.window.Store(min(max(startWindow, cfg.MinWindowNS), cfg.MaxWindowNS))
 	return c
 }
 
@@ -152,27 +152,27 @@ func (c *ctrl) params() (int, int64) {
 }
 
 // observePop records one pop's observed backlog (queue depth before
-// the pop) and the sheds it performed.
-func (c *ctrl) observePop(backlog int, sheds int) {
+// the pop).
+func (c *ctrl) observePop(backlog int) {
 	c.pops++
 	c.backlog += int64(backlog)
-	c.sheds += int64(sheds)
 }
 
-// observeSheds records sheds from the window-wait refill pops, which
-// are not backlog observations (the depth was already sampled by the
-// cycle's first pop).
-func (c *ctrl) observeSheds(sheds int) {
-	c.sheds += int64(sheds)
-}
-
-// observeBatch records one executed batch and its worst request
-// latency.
-func (c *ctrl) observeBatch(ops int, maxLat int64) {
-	c.batches++
-	c.ops += int64(ops)
-	if maxLat > c.maxLat {
-		c.maxLat = maxLat
+// observe folds one completion record into the interval: a shed
+// group's size (from any pop, the window-wait refills included), or an
+// executed batch and its worst request latency. Nil-safe: a static
+// shard has no controller.
+func (c *ctrl) observe(d *completion) {
+	if c == nil {
+		return
+	}
+	switch n := int64(len(d.members)); d.kind {
+	case batchShed:
+		c.sheds += n
+	case batchExecuted:
+		c.batches++
+		c.ops += n
+		c.maxLat = max(c.maxLat, d.worst)
 	}
 }
 
@@ -207,14 +207,14 @@ func (c *ctrl) maybeStep(now int64) (stepped bool, dir int) {
 	switch {
 	case pressure:
 		dir = +1
-		capN = clampInt(capN+c.cfg.BatchStep, c.cfg.MinBatch, c.cfg.MaxBatch)
+		capN = min(max(capN+c.cfg.BatchStep, c.cfg.MinBatch), c.cfg.MaxBatch)
 		if c.sheds > 0 {
-			window = clamp64(window+c.cfg.WindowStepNS, c.cfg.MinWindowNS, c.cfg.MaxWindowNS)
+			window = min(max(window+c.cfg.WindowStepNS, c.cfg.MinWindowNS), c.cfg.MaxWindowNS)
 		}
 	case idle:
 		dir = -1
-		capN = clampInt(capN-maxInt(1, capN/2), c.cfg.MinBatch, c.cfg.MaxBatch)
-		window = clamp64(window/2, c.cfg.MinWindowNS, c.cfg.MaxWindowNS)
+		capN = min(max(capN-max(1, capN/2), c.cfg.MinBatch), c.cfg.MaxBatch)
+		window = min(max(window/2, c.cfg.MinWindowNS), c.cfg.MaxWindowNS)
 	}
 	c.cap.Store(int64(capN))
 	c.window.Store(window)
@@ -246,31 +246,4 @@ func TraceFNV(steps []CtrlStep) uint64 {
 			s.VT, s.Pops, s.Backlog, s.Sheds, s.Batches, s.Ops, s.MaxLatNS, s.Dir, s.Cap, s.WindowNS)
 	}
 	return h.Sum64()
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func clamp64(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -17,9 +17,12 @@ func testCtrl(t *testing.T, startCap int, startWindow int64) *ctrl {
 // step advances the controller one full evaluation interval with the
 // given per-interval signals applied, returning the direction moved.
 func step(c *ctrl, now *int64, backlog, sheds, ops int, maxLat int64) int {
-	c.observePop(backlog, sheds)
+	c.observePop(backlog)
+	if sheds > 0 {
+		c.observe(&completion{kind: batchShed, members: make([]*Request, sheds)})
+	}
 	if ops > 0 {
-		c.observeBatch(ops, maxLat)
+		c.observe(&completion{kind: batchExecuted, members: make([]*Request, ops), worst: maxLat})
 	}
 	*now += c.cfg.EvalIntervalNS
 	_, dir := c.maybeStep(*now)

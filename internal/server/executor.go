@@ -1,8 +1,11 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,13 +111,13 @@ type ExecConfig struct {
 	// they consume a batch slot; 0 selects 1_000_000 (1 ms). Negative
 	// disables shedding.
 	DeadlineNS int64
-	PollNS     int64 // idle poll quantum in virtual ns; 0 selects 200
 	// IdleSleep, when positive, adds a host-time sleep to idle polls so
 	// the TCP server doesn't spin a core per shard. Must stay 0 under
 	// lockstep: a sleeping thread holds the scheduler floor.
 	IdleSleep time.Duration
-	// DurableAck runs Store.DrainPersist after every batch that
-	// contains a write, before any request in the batch completes: the
+	// DurableAck runs the durable-ack barrier (Store.DrainMedia, then
+	// Store.FlushJournal) after every batch that contains a write,
+	// before any request in the batch completes: the
 	// batch's persistence traffic reaches simulated media — and the
 	// attached write-ahead journal, if any — before the response goes
 	// out, so an acked write survives a kill of the host process.
@@ -156,6 +159,10 @@ type ExecConfig struct {
 	startWindow int64
 }
 
+// pollNS is the idle poll quantum in virtual ns: how far a shard with
+// nothing to pop advances its clock before looking again.
+const pollNS = 200
+
 func (c ExecConfig) withDefaults(st *Store) ExecConfig {
 	if c.Shards <= 0 {
 		c.Shards = st.cfg.Shards
@@ -175,15 +182,9 @@ func (c ExecConfig) withDefaults(st *Store) ExecConfig {
 	if c.DeadlineNS == 0 {
 		c.DeadlineNS = 1_000_000
 	}
-	if c.PollNS <= 0 {
-		c.PollNS = 200
-	}
 	if c.Adaptive {
 		c.startCap = c.MaxBatch
-		c.startWindow = c.BatchWindowNS
-		if c.startWindow < 0 {
-			c.startWindow = 0
-		}
+		c.startWindow = c.BatchWindowNS // newCtrl clamps it into the window bounds
 		c.Ctrl = c.Ctrl.withDefaults(c.MaxBatch)
 		if c.Ctrl.MaxBatch > st.cfg.MaxBatch {
 			c.Ctrl.MaxBatch = st.cfg.MaxBatch // log sizing bounds the cap too
@@ -198,6 +199,7 @@ func (c ExecConfig) withDefaults(st *Store) ExecConfig {
 // shard is one keyspace partition: a bounded FIFO and the simulated
 // thread that drains it.
 type shard struct {
+	id    int
 	mu    sync.Mutex
 	queue []*Request
 	head  int
@@ -206,15 +208,48 @@ type shard struct {
 
 	ctrl *ctrl // adaptive (cap, window) controller; nil when static
 
-	// statsMu guards the histograms and executed: the worker takes it
-	// once per batch, so the telemetry endpoint can merge live stats
-	// from host goroutines without racing the shard thread.
+	// Per-shard scratch, so the completion path never allocates: the
+	// record being built or fanned out, and the requests a pop shed.
+	done    completion
+	shedBuf []*Request
+
+	// statsMu guards the histograms: the worker takes it once per
+	// batch, so Snapshot can merge live stats from host goroutines
+	// without racing the shard thread.
 	statsMu    sync.Mutex
 	latency    stats.Histogram // enqueue→completion, virtual ns
 	batchSizes stats.Histogram
 	ackLat     stats.Histogram // durable-ack barrier (drain+journal), host ns
-	executed   int64
-	shed       atomic.Int64 // per-shard deadline sheds (stats reads it live)
+	shed       atomic.Int64    // per-shard deadline sheds (Snapshot reads it live)
+}
+
+// batchKind says what a completion record's members went through.
+type batchKind uint8
+
+const (
+	batchExecuted batchKind = iota // ran in one transaction
+	batchShed                      // expired at pop time, never executed (Request.Shed)
+	batchSwept                     // still queued at Drain, failed with ErrDraining
+)
+
+// completion is the one record every finished group of requests
+// produces — an executed batch, the requests one pop shed, or Drain's
+// leftover sweep — and the only thing the observers (shard stats,
+// request tracer, flight ring, controller, metrics) ever see. The
+// per-request shed/err flags ride on the members themselves.
+type completion struct {
+	kind    batchKind
+	shard   int
+	members []*Request
+	// Lifecycle-clock boundaries (Executor.clock: virtual ns, host ns
+	// under WallClock), the tracer's TS[3..6]: the batch closed and its
+	// transaction began, the transaction returned, the WPQ drained onto
+	// media, the journal flushed. A batch with no barrier — and every
+	// shed or swept one — collapses the later ones onto the earlier.
+	closed, ran, drained, flushed int64
+	end                           int64 // shard virtual clock at completion
+	barrierNS                     int64 // durable-ack barrier host time; 0 when none ran
+	worst                         int64 // largest enqueue→end latency among members
 }
 
 // Executor shards the store's keyspace and drains each shard's queue
@@ -229,8 +264,7 @@ type Executor struct {
 	shards []*shard
 	queued atomic.Int64 // across all shards, for the queue-depth track
 
-	tracer *reqTracer      // request-lifecycle sampling; nil when disabled
-	flight *FlightRecorder // completed-request ring; nil when disabled
+	tracer *reqTracer // request-lifecycle sampling; nil when disabled
 
 	inputsDone atomic.Bool
 	draining   atomic.Bool
@@ -247,27 +281,24 @@ func NewExecutor(st *Store, cfg ExecConfig) *Executor {
 		met:    st.tm.Metrics(),
 		rec:    st.tm.Recorder(),
 		shards: make([]*shard, cfg.Shards),
-		flight: cfg.Flight,
 	}
 	traceRec := cfg.TraceRecorder
 	if traceRec == nil {
 		traceRec = st.tm.Recorder()
 	}
 	e.tracer = newReqTracer(traceRec, cfg.TraceSample, cfg.TraceSeed, cfg.WallClock)
-	for i := range e.shards {
-		e.shards[i] = &shard{}
-		if cfg.Adaptive {
-			e.shards[i].ctrl = newCtrl(cfg.Ctrl, cfg.startCap, cfg.startWindow, cfg.DeadlineNS)
-		}
-	}
 	e.wg.Add(cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
+	for i := range e.shards {
+		s := &shard{id: i}
+		if cfg.Adaptive {
+			s.ctrl = newCtrl(cfg.Ctrl, cfg.startCap, cfg.startWindow, cfg.DeadlineNS)
+		}
+		e.shards[i] = s
 		// Attach here, in shard order, not in the worker goroutines:
 		// under lockstep the engine's turn order follows attachment
 		// order, and a deterministic schedule needs a deterministic
 		// attach sequence.
-		th := st.tm.Thread(i + 1)
-		go e.runShard(i, th)
+		go e.runShard(s, st.tm.Thread(i+1))
 	}
 	return e
 }
@@ -288,15 +319,14 @@ func (e *Executor) Submit(req *Request) bool {
 	if e.draining.Load() {
 		return false
 	}
-	si := e.ShardOf(req.Key)
-	s := e.shards[si]
+	s := e.shards[e.ShardOf(req.Key)]
 	if req.EnqVT == 0 {
 		req.EnqVT = s.lastVT.Load()
 	}
 	if req.Trace != nil {
-		req.Trace.Shard = int32(si)
+		req.Trace.Shard = int32(s.id)
 		req.Trace.Op = uint8(req.Op)
-		req.Trace.Stamp(1, e.tracer.now(req.EnqVT))
+		req.Trace.Stamp(1, e.clock(req.EnqVT))
 	}
 	s.mu.Lock()
 	if len(s.queue)-s.head >= e.cfg.QueueDepth {
@@ -321,39 +351,30 @@ func (e *Executor) Submit(req *Request) bool {
 // under WallClock.
 func (e *Executor) TraceStart(vt int64) *obs.ReqRecord { return e.tracer.start(vt) }
 
+// clock maps virtual time vt onto the lifecycle clock the boundary
+// stamps run on: vt itself, or host ns when tracing under WallClock.
+func (e *Executor) clock(vt int64) int64 { return e.tracer.now(vt) }
+
 // popLive removes queued requests from shard s until it has gathered
 // up to max live ones, shedding any that aged past deadline *at pop
-// time* — an expired request completes as shed right here and never
-// consumes a batch slot. It appends the live requests to *out and
-// reports the backlog observed before popping (the controller's
-// queue-depth signal) plus the sheds performed.
-func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Request) (backlog, sheds int) {
+// time* — an expired request completes as shed right here (one
+// batchShed record per pop) and never consumes a batch slot. It
+// appends the live requests to *out and reports the backlog observed
+// before popping (the controller's queue-depth signal).
+func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Request) (backlog int) {
+	shed, live := s.shedBuf[:0], 0
 	s.mu.Lock()
 	backlog = len(s.queue) - s.head
-	taken, live := 0, 0
 	for s.head < len(s.queue) && live < max {
 		req := s.queue[s.head]
 		s.head++
-		taken++
+		if req.Trace != nil {
+			req.Trace.Stamp(2, e.clock(now))
+		}
 		if deadline > 0 && now-req.EnqVT > deadline {
 			req.Shed = true
-			sheds++
-			if req.Trace != nil {
-				// The lifecycle ends at the pop: collapse every remaining
-				// boundary to the shed instant so the chain still telescopes.
-				tnow := e.tracer.now(now)
-				for k := 2; k < len(req.Trace.TS); k++ {
-					req.Trace.Stamp(k, tnow)
-				}
-				req.Trace.Shed = true
-				e.tracer.finish(req.Trace)
-			}
-			e.recordFlight(req, now)
-			finish(req)
+			shed = append(shed, req)
 			continue
-		}
-		if req.Trace != nil {
-			req.Trace.Stamp(2, e.tracer.now(now))
 		}
 		*out = append(*out, req)
 		live++
@@ -365,21 +386,14 @@ func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Reque
 		s.head = 0
 	}
 	s.mu.Unlock()
-	if taken > 0 {
-		e.queued.Add(int64(-taken))
+	s.shedBuf = shed
+	if n := live + len(shed); n > 0 {
+		e.queued.Add(int64(-n))
 	}
-	if sheds > 0 {
-		s.shed.Add(int64(sheds))
-		e.met.Add(metrics.CtrSrvShed, int64(sheds))
+	if len(shed) > 0 {
+		e.complete(s, e.begin(s, batchShed, shed, now))
 	}
-	return backlog, sheds
-}
-
-// finish completes req.
-func finish(req *Request) {
-	if req.Done != nil {
-		close(req.Done)
-	}
+	return backlog
 }
 
 // runShard is one shard worker: poll, assemble a batch (shedding the
@@ -387,10 +401,9 @@ func finish(req *Request) {
 // and let the controller re-evaluate the operating point. It must
 // keep moving virtual time (Compute) whenever idle so the other
 // threads of the windowed engine never wait on it.
-func (e *Executor) runShard(i int, th *core.Thread) {
+func (e *Executor) runShard(s *shard, th *core.Thread) {
 	defer e.wg.Done()
 	defer th.Detach()
-	s := e.shards[i]
 	// A simulated power failure (crash-injection hook) unwinds the
 	// in-flight transaction without rollback; the worker dies with the
 	// machine, exactly as a real one would. Requests in the cut batch
@@ -413,46 +426,38 @@ func (e *Executor) runShard(i int, th *core.Thread) {
 			cap, window = s.ctrl.params()
 		}
 		batch = batch[:0]
-		backlog, sheds := s.popLive(e, cap, th.Now(), e.cfg.DeadlineNS, &batch)
+		backlog := s.popLive(e, cap, th.Now(), e.cfg.DeadlineNS, &batch)
 		if s.ctrl != nil {
-			s.ctrl.observePop(backlog, sheds)
+			s.ctrl.observePop(backlog)
 		}
-		if len(batch) == 0 {
-			if e.inputsDone.Load() {
-				// A Submit that landed between the pop above and this load
-				// would be stranded for Drain's ErrDraining sweep even
-				// though it was accepted before shutdown began. The load
-				// happens-after any Submit that preceded InputsDone, so one
-				// final pop is guaranteed to see such a request; only an
-				// empty queue here is safe to abandon.
-				s.popLive(e, cap, th.Now(), e.cfg.DeadlineNS, &batch)
-				if len(batch) == 0 {
-					return
+		switch {
+		case len(batch) > 0:
+			// Group commit: wait out the batch window for stragglers.
+			deadline := th.Now() + window
+			for len(batch) < cap && th.Now() < deadline {
+				before := len(batch)
+				s.popLive(e, cap-len(batch), th.Now(), e.cfg.DeadlineNS, &batch)
+				if len(batch) == before {
+					th.Compute(pollNS)
 				}
-				e.execBatch(s, th, batch)
-				e.ctrlStep(s, th)
-				continue
 			}
+		case !e.inputsDone.Load():
 			e.ctrlStep(s, th)
-			th.Compute(e.cfg.PollNS)
+			th.Compute(pollNS)
 			if e.cfg.IdleSleep > 0 {
 				time.Sleep(e.cfg.IdleSleep)
 			}
 			continue
-		}
-		// Group commit: wait out the batch window for stragglers.
-		if window > 0 && len(batch) < cap {
-			deadline := th.Now() + window
-			for len(batch) < cap && th.Now() < deadline {
-				before := len(batch)
-				_, sheds := s.popLive(e, cap-len(batch), th.Now(), e.cfg.DeadlineNS, &batch)
-				if s.ctrl != nil && sheds > 0 {
-					s.ctrl.observeSheds(sheds)
-				}
-				if len(batch) == before {
-					th.Compute(e.cfg.PollNS)
-					continue
-				}
+		default:
+			// A Submit that landed between the pop above and the
+			// inputsDone load would be stranded for Drain's ErrDraining
+			// sweep even though it was accepted before shutdown began.
+			// The load happens-after any Submit that preceded InputsDone,
+			// so one final pop is guaranteed to see such a request; only
+			// an empty queue here is safe to abandon.
+			s.popLive(e, cap, th.Now(), e.cfg.DeadlineNS, &batch)
+			if len(batch) == 0 {
+				return
 			}
 		}
 		e.execBatch(s, th, batch)
@@ -478,201 +483,143 @@ func (e *Executor) ctrlStep(s *shard, th *core.Thread) {
 	case dir < 0:
 		e.met.Add(metrics.CtrSrvCtrlDown, 1)
 	}
-	if e.rec.Tracing() {
-		cap, window := s.ctrl.params()
-		now := th.Now()
-		e.rec.CountShared(obs.TrackServerBatchCap, now, float64(cap))
-		e.rec.CountShared(obs.TrackServerWindow, now, float64(window))
+	cap, window := s.ctrl.params()
+	e.rec.CountShared(obs.TrackServerBatchCap, th.Now(), float64(cap))
+	e.rec.CountShared(obs.TrackServerWindow, th.Now(), float64(window))
+}
+
+// execBatch is the paper's serving order and nothing else: run the
+// live requests in one transaction, pay the durable barrier once for
+// the whole batch, emit the completion record, complete the requests.
+// Deadline shedding already happened at pop time.
+func (e *Executor) execBatch(s *shard, th *core.Thread, live []*Request) {
+	d := e.begin(s, batchExecuted, live, th.Now())
+	kv := e.st.kv
+	th.Atomic(func(tx *core.Tx) {
+		// The body re-runs on abort: every result field is plainly
+		// overwritten so retries stay idempotent.
+		for _, req := range live {
+			switch req.Op {
+			case OpGet:
+				req.Val, req.ValFlags, req.Found = kv.Get(tx, req.Key)
+			case OpSet:
+				req.Err = kv.Set(tx, req.Key, req.Value, req.Flags)
+			case OpDelete:
+				req.Found = kv.Delete(tx, req.Key)
+			case OpIncr:
+				req.NewVal, req.Found, req.Err = kv.Incr(tx, req.Key, req.Delta)
+			}
+		}
+	})
+	// Each boundary is stamped at the moment it happens: under
+	// WallClock the lifecycle clock is "now", so a stamp deferred past
+	// the barrier would order after it. Without a barrier the drain and
+	// journal boundaries collapse onto the execute end (zero-width
+	// phases keep the chain telescoping).
+	d.ran = e.clock(th.Now())
+	d.drained, d.flushed = d.ran, d.ran
+	if e.cfg.DurableAck && slices.ContainsFunc(live, func(req *Request) bool { return req.Op != OpGet }) {
+		// The durable-ack barrier: WPQ entries onto simulated media
+		// first, then the journal batch onto the host file. No member
+		// completes before both return.
+		barrier := time.Now()
+		e.st.DrainMedia(th)
+		d.drained = e.clock(th.Now())
+		err := e.st.FlushJournal()
+		d.barrierNS = time.Since(barrier).Nanoseconds()
+		d.flushed = e.clock(th.Now())
+		if err != nil {
+			for _, req := range live {
+				if req.Op != OpGet && req.Err == nil {
+					req.Err = ErrDurable
+				}
+			}
+		}
+	}
+	d.end = th.Now()
+	s.lastVT.Store(d.end)
+	e.complete(s, d)
+}
+
+// begin resets shard s's scratch record to members closing at virtual
+// time now, every later boundary collapsed onto that instant — already
+// the whole story for a shed or swept group; execBatch moves the
+// boundaries out as its steps happen.
+func (e *Executor) begin(s *shard, kind batchKind, members []*Request, now int64) *completion {
+	t := e.clock(now)
+	s.done = completion{kind: kind, shard: s.id, members: members,
+		closed: t, ran: t, drained: t, flushed: t, end: now}
+	return &s.done
+}
+
+// complete fans one record out to every observer — each nil-safe, each
+// one call — and only then releases the members to their submitters.
+// Nothing here advances a simulated clock or allocates.
+func (e *Executor) complete(s *shard, d *completion) {
+	for _, req := range d.members {
+		d.worst = max(d.worst, d.end-req.EnqVT)
+	}
+	e.account(s, d)
+	e.tracer.observe(d)
+	e.cfg.Flight.observe(d)
+	s.ctrl.observe(d)
+	for _, req := range d.members {
+		if req.Done != nil {
+			close(req.Done)
+		}
 	}
 }
 
-// execBatch runs the live requests in one transaction and completes
-// everything. Deadline shedding already happened at pop time.
-func (e *Executor) execBatch(s *shard, th *core.Thread, live []*Request) {
-	if len(live) > 0 {
-		if e.tracer != nil {
-			// The batch closes here: every member's batch-formation phase
-			// ends at the same transaction start.
-			tnow := e.tracer.now(th.Now())
-			for _, req := range live {
-				if req.Trace != nil {
-					req.Trace.Stamp(3, tnow)
-				}
-			}
-		}
-		kv := e.st.kv
-		th.Atomic(func(tx *core.Tx) {
-			// The body re-runs on abort: every result field is plainly
-			// overwritten so retries stay idempotent.
-			for _, req := range live {
-				switch req.Op {
-				case OpGet:
-					req.Val, req.ValFlags, req.Found = kv.Get(tx, req.Key)
-				case OpSet:
-					req.Err = kv.Set(tx, req.Key, req.Value, req.Flags)
-				case OpDelete:
-					req.Found = kv.Delete(tx, req.Key)
-				case OpIncr:
-					req.NewVal, req.Found, req.Err = kv.Incr(tx, req.Key, req.Delta)
-				}
-			}
-		})
-		// Stamp the execute boundary at the actual moment: under
-		// WallClock the tracer's clock is "now", so deferring the stamp
-		// past the barrier would order it after the drain boundary.
-		var tExec int64
-		if e.tracer != nil {
-			tExec = e.tracer.now(th.Now())
-		}
-		// Without a barrier the drain and journal boundaries collapse onto
-		// the execute end (zero-width phases keep the chain telescoping).
-		tDrain, tJournal := tExec, tExec
-		var ackHostNS int64
-		if e.cfg.DurableAck {
-			hasWrite := false
-			for _, req := range live {
-				if req.Op != OpGet {
-					hasWrite = true
-					break
-				}
-			}
-			if hasWrite {
-				// The durable-ack barrier, split so the drain and journal
-				// halves stamp separately: WPQ entries onto simulated
-				// media first, then the journal batch onto the host file.
-				barrier := time.Now()
-				e.st.DrainMedia(th)
-				drainEnd := th.Now()
-				ferr := e.st.FlushJournal()
-				ackHostNS = time.Since(barrier).Nanoseconds()
-				if e.tracer != nil {
-					tDrain, tJournal = e.tracer.now(drainEnd), e.tracer.now(th.Now())
-				}
-				if ferr != nil {
-					for _, req := range live {
-						if req.Op != OpGet && req.Err == nil {
-							req.Err = ErrDurable
-						}
-					}
-				}
-			}
-		}
-		end := th.Now()
-		s.lastVT.Store(end)
-		var maxLat int64
+// account is the always-on bookkeeping a record feeds: the shard's
+// shed gauge and histograms (under statsMu, once per batch) that
+// Snapshot reports, the registry's srv_* counters, and the obs
+// queue-depth track.
+func (e *Executor) account(s *shard, d *completion) {
+	n := int64(len(d.members))
+	switch d.kind {
+	case batchShed:
+		s.shed.Add(n)
+		e.met.Add(metrics.CtrSrvShed, n)
+	case batchExecuted:
 		s.statsMu.Lock()
-		for _, req := range live {
-			lat := end - req.EnqVT
-			if lat > maxLat {
-				maxLat = lat
-			}
+		for _, req := range d.members {
 			if !req.Warmup {
-				s.latency.Record(lat)
+				s.latency.Record(d.end - req.EnqVT)
 			}
 		}
-		s.executed += int64(len(live))
-		s.batchSizes.Record(int64(len(live)))
-		if ackHostNS > 0 {
-			s.ackLat.Record(ackHostNS)
+		s.batchSizes.Record(n)
+		if d.barrierNS > 0 {
+			s.ackLat.Record(d.barrierNS)
 		}
 		s.statsMu.Unlock()
-		if e.tracer != nil {
-			tEnd := e.tracer.now(end)
-			for _, req := range live {
-				if req.Trace == nil {
-					continue
-				}
-				req.Trace.Stamp(4, tExec)
-				req.Trace.Stamp(5, tDrain)
-				req.Trace.Stamp(6, tJournal)
-				req.Trace.Stamp(7, tEnd)
-				e.tracer.finish(req.Trace)
-			}
-		}
-		for _, req := range live {
-			e.recordFlight(req, end)
-			finish(req)
-		}
-		if s.ctrl != nil {
-			s.ctrl.observeBatch(len(live), maxLat)
-		}
 		e.met.Add(metrics.CtrSrvBatches, 1)
-		e.met.Add(metrics.CtrSrvBatchedOps, int64(len(live)))
-	}
-	if e.rec.Tracing() {
-		e.rec.CountShared(obs.TrackServerQueue, th.Now(), float64(e.queued.Load()))
+		e.met.Add(metrics.CtrSrvBatchedOps, n)
+		e.rec.CountShared(obs.TrackServerQueue, d.end, float64(e.queued.Load()))
 	}
 }
 
-// recordFlight publishes one completed request into the flight ring
-// (nil flight: one branch and out).
-func (e *Executor) recordFlight(req *Request, doneVT int64) {
-	if e.flight == nil {
-		return
+// LastVT returns the latest shard clock — after a drain, the slowest
+// shard's final timestamp, which bounds the run's virtual elapsed time
+// and is the instant Store.Crash must cover.
+func (e *Executor) LastVT() (vt int64) {
+	for _, s := range e.shards {
+		vt = max(vt, s.lastVT.Load())
 	}
-	e.flight.Record(FlightRecord{
-		Op:     uint8(req.Op),
-		Shard:  uint16(e.ShardOf(req.Key)),
-		Shed:   req.Shed,
-		Err:    req.Err != nil,
-		EnqVT:  req.EnqVT,
-		DoneVT: doneVT,
-		LatNS:  doneVT - req.EnqVT,
-	})
+	return vt
 }
 
-// ShardVT returns shard i's last observed virtual timestamp — after a
-// drain, the slowest shard's clock bounds the run's virtual elapsed
-// time.
-func (e *Executor) ShardVT(i int) int64 { return e.shards[i].lastVT.Load() }
-
-// ShardCtrl reports shard i's live adaptive operating point and step
-// count. ok is false for a static executor.
-func (e *Executor) ShardCtrl(i int) (cap int, windowNS int64, steps int64, ok bool) {
-	c := e.shards[i].ctrl
-	if c == nil {
-		return 0, 0, 0, false
-	}
-	cap, windowNS = c.params()
-	return cap, windowNS, c.steps.Load(), true
-}
-
-// ShardShed reports shard i's deadline-shed count so far.
-func (e *Executor) ShardShed(i int) int64 { return e.shards[i].shed.Load() }
-
-// NumShards reports the executor's shard count.
-func (e *Executor) NumShards() int { return len(e.shards) }
-
-// ShardParams reports shard i's live (batch cap, window): the
-// controller's operating point under Adaptive, the static
-// configuration otherwise.
-func (e *Executor) ShardParams(i int) (int, int64) {
-	if cap, win, _, ok := e.ShardCtrl(i); ok {
-		return cap, win
-	}
-	return e.cfg.MaxBatch, e.cfg.BatchWindowNS
-}
-
-// CtrlTrace returns shard i's controller trace (empty unless
-// Ctrl.Trace was set). Call only when the workers are quiescent.
-func (e *Executor) CtrlTrace(i int) []CtrlStep {
-	if c := e.shards[i].ctrl; c != nil {
-		return c.trace
-	}
-	return nil
-}
-
-// CtrlTraceFNV folds every shard's controller trace, in shard order,
-// into one hash — the determinism fingerprint loadsim pins. Call only
-// when the workers are quiescent.
+// CtrlTraceFNV folds every shard's controller trace (empty unless
+// Ctrl.Trace was set), in shard order, into one hash — the determinism
+// fingerprint loadsim pins. Call only when the workers are quiescent.
 func (e *Executor) CtrlTraceFNV() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for i := range e.shards {
-		sum := TraceFNV(e.CtrlTrace(i))
-		for j := range b {
-			b[j] = byte(sum >> (8 * j))
+	for _, s := range e.shards {
+		var trace []CtrlStep
+		if s.ctrl != nil {
+			trace = s.ctrl.trace
 		}
+		binary.LittleEndian.PutUint64(b[:], TraceFNV(trace))
 		h.Write(b[:])
 	}
 	return h.Sum64()
@@ -692,62 +639,18 @@ func (e *Executor) Drain() {
 	e.inputsDone.Store(true)
 	e.wg.Wait()
 	// The workers exit when they see an empty queue, but a Submit
-	// racing with shutdown can land an entry after that look; sweep it.
+	// racing with shutdown can land an entry after that look; sweep it,
+	// at the dead worker's final clock.
 	for _, s := range e.shards {
 		var leftover []*Request
-		s.popLive(e, 1<<31-1, 0, -1, &leftover)
+		vt := s.lastVT.Load()
+		s.popLive(e, math.MaxInt, vt, -1, &leftover)
+		if len(leftover) == 0 {
+			continue
+		}
 		for _, req := range leftover {
 			req.Err = ErrDraining
-			e.recordFlight(req, req.EnqVT)
-			finish(req)
 		}
+		e.complete(s, e.begin(s, batchSwept, leftover, vt))
 	}
-}
-
-// ExecStats is a point-in-time roll-up across shards.
-type ExecStats struct {
-	Executed   int64
-	Shed       int64
-	Queued     int64
-	ShardShed  []int64         // per-shard deadline sheds
-	CtrlSteps  int64           // controller evaluations (0 when static)
-	Latency    stats.Histogram // merged enqueue→completion latency
-	BatchSizes stats.Histogram
-	AckBarrier stats.Histogram // durable-ack barrier host-time latency
-}
-
-// Stats merges the per-shard accounting. Safe to call while the
-// workers run — the histograms are read under each shard's stats
-// mutex, so the live telemetry endpoint gets a consistent roll-up —
-// though a mid-run snapshot is of course a moving target.
-func (e *Executor) Stats() ExecStats {
-	var out ExecStats
-	out.Queued = e.queued.Load()
-	out.ShardShed = make([]int64, len(e.shards))
-	for i, s := range e.shards {
-		out.ShardShed[i] = s.shed.Load()
-		out.Shed += out.ShardShed[i]
-		if s.ctrl != nil {
-			out.CtrlSteps += s.ctrl.steps.Load()
-		}
-		s.statsMu.Lock()
-		out.Executed += s.executed
-		out.Latency.Merge(&s.latency)
-		out.BatchSizes.Merge(&s.batchSizes)
-		out.AckBarrier.Merge(&s.ackLat)
-		s.statsMu.Unlock()
-	}
-	return out
-}
-
-// QueueDepth reports the live queued-request count across all shards.
-func (e *Executor) QueueDepth() int64 { return e.queued.Load() }
-
-// ShardQueueDepth reports shard i's live queue depth.
-func (e *Executor) ShardQueueDepth(i int) int {
-	s := e.shards[i]
-	s.mu.Lock()
-	d := len(s.queue) - s.head
-	s.mu.Unlock()
-	return d
 }

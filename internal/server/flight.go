@@ -3,29 +3,27 @@ package server
 import (
 	"encoding/json"
 	"os"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // The flight recorder answers the question the soak harness's SIGKILL
 // leaves open: what was the server doing in the seconds before it
 // died? A killed process can't be asked, so the recorder keeps a
-// fixed-size lock-free ring of recent completed-request records plus
-// a short series of counter samples, and a mirror goroutine
+// fixed-size ring of recent completed-request records plus a short
+// series of counter samples, and a mirror goroutine
 // periodically rewrites a JSON sidecar next to the image (tmp+rename,
 // so the sidecar is never torn). After the kill, ptmsoak harvests the
 // sidecar and attaches the tail to its verdict — an oracle violation
 // then carries the last pre-kill window of telemetry instead of just
 // a key name.
 //
-// The write path is a seqlock per slot: the writer bumps the slot's
-// version to odd, stores the record, and publishes the version even.
-// Readers (the mirror goroutine, the telemetry snapshot) copy the
-// slot and keep it only if the version was even and unchanged across
-// the copy. Writers never block on readers and never allocate; a nil
-// *FlightRecorder disables everything at the cost of one nil check.
+// The ring is the dumbest correct one: a mutex. It is fed per batch —
+// the executor's completion record costs one lock acquisition and one
+// time.Now() however many members it carries — and readers hold the
+// lock only to copy slots out; marshalling and file I/O happen outside
+// it. Nothing allocates on the write path, and a nil *FlightRecorder
+// disables everything at the cost of one nil check.
 
 // FlightRecord is one completed request as the ring retains it.
 type FlightRecord struct {
@@ -68,17 +66,13 @@ const maxFlightSamples = 64
 // FlightPath names the sidecar mirrored next to the image at path.
 func FlightPath(imagePath string) string { return imagePath + ".flight" }
 
-type flightSlot struct {
-	ver atomic.Uint64 // seq<<1 | 1 while being written; seq<<1 once published
-	rec FlightRecord
-}
-
 // FlightRecorder is the ring plus its mirror goroutine. A nil
 // receiver is the disabled configuration.
 type FlightRecorder struct {
-	slots []flightSlot
-	mask  uint64
-	seq   atomic.Uint64
+	ringMu sync.Mutex // guards slots and seq; never held across I/O
+	slots  []FlightRecord
+	seq    uint64 // records ever written; record n lives in slots[n&mask]
+	mask   uint64
 
 	mu      sync.Mutex // serializes dumps and guards samples
 	path    string
@@ -98,22 +92,49 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	for n < size {
 		n <<= 1
 	}
-	return &FlightRecorder{slots: make([]flightSlot, n), mask: uint64(n - 1)}
+	return &FlightRecorder{slots: make([]FlightRecord, n), mask: uint64(n - 1)}
 }
 
-// Record publishes one completed request into the ring. Lock-free,
-// allocation-free, and safe from concurrent shard workers; nil-safe.
+// put stores rec as the next record. The caller holds ringMu.
+func (f *FlightRecorder) put(rec FlightRecord, wallNS int64) {
+	f.seq++
+	rec.Seq, rec.WallNS = f.seq, wallNS
+	f.slots[f.seq&f.mask] = rec
+}
+
+// Record publishes one completed request into the ring. Safe from
+// concurrent writers, allocation-free, nil-safe.
 func (f *FlightRecorder) Record(rec FlightRecord) {
 	if f == nil {
 		return
 	}
-	seq := f.seq.Add(1)
-	rec.Seq = seq
-	rec.WallNS = time.Now().UnixNano()
-	slot := &f.slots[seq&f.mask]
-	slot.ver.Store(seq<<1 | 1)
-	slot.rec = rec
-	slot.ver.Store(seq << 1)
+	wall := time.Now().UnixNano()
+	f.ringMu.Lock()
+	f.put(rec, wall)
+	f.ringMu.Unlock()
+}
+
+// observe publishes every member of a completion record — executed,
+// shed, or swept at drain — under one lock acquisition and one wall
+// stamp.
+func (f *FlightRecorder) observe(d *completion) {
+	if f == nil {
+		return
+	}
+	wall := time.Now().UnixNano()
+	f.ringMu.Lock()
+	for _, req := range d.members {
+		f.put(FlightRecord{
+			Op:     uint8(req.Op),
+			Shard:  uint16(d.shard),
+			Shed:   req.Shed,
+			Err:    req.Err != nil,
+			EnqVT:  req.EnqVT,
+			DoneVT: d.end,
+			LatNS:  d.end - req.EnqVT,
+		}, wall)
+	}
+	f.ringMu.Unlock()
 }
 
 // Seq reports how many records have ever been written.
@@ -121,38 +142,23 @@ func (f *FlightRecorder) Seq() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.seq.Load()
+	f.ringMu.Lock()
+	defer f.ringMu.Unlock()
+	return f.seq
 }
 
-// Size reports the ring capacity.
-func (f *FlightRecorder) Size() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.slots)
-}
-
-// Snapshot copies every consistently-readable record, oldest first.
-// Slots caught mid-write (seqlock version odd or changed during the
-// copy) are skipped — the writer always wins.
+// Snapshot copies the retained records out, oldest first.
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	if f == nil {
 		return nil
 	}
-	out := make([]FlightRecord, 0, len(f.slots))
-	for i := range f.slots {
-		slot := &f.slots[i]
-		v1 := slot.ver.Load()
-		if v1 == 0 || v1&1 == 1 {
-			continue
-		}
-		rec := slot.rec
-		if slot.ver.Load() != v1 {
-			continue
-		}
-		out = append(out, rec)
+	f.ringMu.Lock()
+	defer f.ringMu.Unlock()
+	n := min(f.seq, uint64(len(f.slots)))
+	out := make([]FlightRecord, 0, n)
+	for seq := f.seq - n + 1; seq <= f.seq; seq++ {
+		out = append(out, f.slots[seq&f.mask])
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
 
@@ -179,15 +185,17 @@ func (f *FlightRecorder) Dump() error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dumpLocked()
-}
-
-func (f *FlightRecorder) dumpLocked() error {
 	if f.path == "" {
 		return nil
 	}
+	// The ring lock is held only inside Snapshot; marshalling and the
+	// tmp+rename below must stay outside it, or a mirror tick would
+	// stall every shard's completion path.
 	records := f.Snapshot()
-	seq := f.seq.Load()
+	var seq uint64
+	if len(records) > 0 {
+		seq = records[len(records)-1].Seq
+	}
 	d := FlightDump{
 		Schema:  flightSchema,
 		WallNS:  time.Now().UnixNano(),
@@ -208,10 +216,10 @@ func (f *FlightRecorder) dumpLocked() error {
 }
 
 // StartMirror begins periodically mirroring the ring to the sidecar
-// at path. Each tick calls sample (if non-nil) for a counter
-// observation, then rewrites the sidecar. Stop ends the loop with a
-// final dump.
-func (f *FlightRecorder) StartMirror(path string, interval time.Duration, sample func() FlightSample) {
+// at path. Each tick takes a Snapshot from sample (if non-nil;
+// Executor.Snapshot in the server) for a counter observation, then
+// rewrites the sidecar. Stop ends the loop with a final dump.
+func (f *FlightRecorder) StartMirror(path string, interval time.Duration, sample func() Snapshot) {
 	if f == nil {
 		return
 	}
@@ -233,7 +241,7 @@ func (f *FlightRecorder) StartMirror(path string, interval time.Duration, sample
 				return
 			case <-t.C:
 				if sample != nil {
-					f.AddSample(sample())
+					f.AddSample(sample().flightSample())
 				}
 				f.Dump()
 			}

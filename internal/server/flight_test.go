@@ -18,7 +18,7 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Fatalf("nil dump: %v", err)
 	}
 	f.Stop()
-	if f.Seq() != 0 || f.Size() != 0 || f.Snapshot() != nil {
+	if f.Seq() != 0 || f.Snapshot() != nil {
 		t.Fatal("nil recorder retained state")
 	}
 	if NewFlightRecorder(0) != nil {
@@ -26,13 +26,10 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 }
 
-// TestFlightRingWrap: the ring keeps the newest Size() records; older
-// ones count as dropped.
+// TestFlightRingWrap: the ring keeps the newest records, as many as
+// its power-of-two capacity; older ones count as dropped.
 func TestFlightRingWrap(t *testing.T) {
 	f := NewFlightRecorder(5) // rounds up to 8
-	if f.Size() != 8 {
-		t.Fatalf("size = %d, want 8", f.Size())
-	}
 	for i := 0; i < 20; i++ {
 		f.Record(FlightRecord{Op: uint8(i), LatNS: int64(i)})
 	}
@@ -54,8 +51,8 @@ func TestFlightRingWrap(t *testing.T) {
 }
 
 // TestFlightConcurrentRecord: concurrent writers against a snapshotting
-// reader — the seqlock must never yield a torn record (a record whose
-// Seq doesn't match its payload).
+// reader — the ring must never yield a torn record (and, under -race,
+// must not race: the per-slot seqlock this replaced did).
 func TestFlightConcurrentRecord(t *testing.T) {
 	f := NewFlightRecorder(64)
 	var wg sync.WaitGroup
@@ -92,9 +89,9 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kv.img.flight")
 	f := NewFlightRecorder(16)
 	n := 0
-	f.StartMirror(path, time.Millisecond, func() FlightSample {
+	f.StartMirror(path, time.Millisecond, func() Snapshot {
 		n++
-		return FlightSample{QueueDepth: int64(n), Counters: map[string]int64{"commits": int64(n)}}
+		return Snapshot{QueueDepth: int64(n), Counters: map[string]int64{"commits": int64(n), "aborts": 0}}
 	})
 	for i := 0; i < 24; i++ {
 		f.Record(FlightRecord{Op: 2, Shard: uint16(i % 3), LatNS: 100})
@@ -126,6 +123,9 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if d.Samples[0].Counters["commits"] == 0 {
 		t.Fatal("sample lost its counters")
 	}
+	if _, ok := d.Samples[0].Counters["aborts"]; ok {
+		t.Fatal("sample carries a counter that never moved")
+	}
 
 	// A second Stop (the SIGTERM path can race the panic path) is safe.
 	f.Stop()
@@ -133,7 +133,9 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 
 // TestDisabledPathZeroAlloc pins the acceptance requirement: with
 // sampling and the flight ring disabled, the per-request hooks cost
-// nil checks only — zero allocations.
+// nil checks only, and the per-batch completion-record path — begin,
+// fan-out to every observer, release — allocates nothing either, with
+// everything off and with only the flight ring on.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var f *FlightRecorder
 	var tr *reqTracer
@@ -143,18 +145,49 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		if rec := tr.start(0); rec != nil {
 			req.Trace = rec
 		}
-		tr.finish(req.Trace)
+		if tr.now(7) != 7 {
+			t.Fatal("nil tracer clock is not the identity")
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %.1f per op, want 0", allocs)
 	}
-	// The enabled ring write must not allocate either — shard workers
-	// call it on every completion.
+	// The enabled ring write must not allocate either.
 	fr := NewFlightRecorder(32)
 	allocs = testing.AllocsPerRun(200, func() {
 		fr.Record(FlightRecord{Op: 1})
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled ring write allocates %.1f per op, want 0", allocs)
+	}
+
+	members := []*Request{{Op: OpSet, EnqVT: 10}, {Op: OpGet, EnqVT: 20, Warmup: true}}
+	for _, ring := range []*FlightRecorder{nil, NewFlightRecorder(32)} {
+		e := &Executor{cfg: ExecConfig{Flight: ring}}
+		s := &shard{id: 3}
+		allocs := testing.AllocsPerRun(200, func() {
+			d := e.begin(s, batchExecuted, members, 100)
+			d.barrierNS = 5
+			e.complete(s, d)
+			e.complete(s, e.begin(s, batchShed, members[:1], 100))
+		})
+		if allocs != 0 {
+			t.Fatalf("record path (flight ring on: %v) allocates %.1f per batch, want 0", ring != nil, allocs)
+		}
+		// The path ran for real: stats moved, and the ring (when on)
+		// holds one record per member, stamped from the record.
+		if s.batchSizes.Sum() == 0 || s.latency.Count() != s.batchSizes.Count() || s.shed.Load() == 0 || s.ackLat.Count() == 0 {
+			t.Fatalf("record path left no stats: %d sized, %d latency, %d shed", s.batchSizes.Sum(), s.latency.Count(), s.shed.Load())
+		}
+		if ring != nil {
+			recs := ring.Snapshot()
+			last := recs[len(recs)-1]
+			if want := uint64(3 * 201); ring.Seq() != want {
+				t.Fatalf("ring saw %d records, want %d", ring.Seq(), want)
+			}
+			if last.Shard != 3 || last.DoneVT != 100 || last.LatNS != 90 || last.Op != uint8(OpSet) {
+				t.Fatalf("ring record not stamped from the completion: %+v", last)
+			}
+		}
 	}
 }

@@ -18,9 +18,9 @@ import (
 // save, even though the *simulated* machine never failed. The journal
 // fixes that: every line payload that reaches simulated media is also
 // appended to a host file, and the executor's durable-ack barrier
-// (Store.DrainPersist) forces pending WPQ entries onto media — and the
-// journal onto the file — before a response is acknowledged. Recovery
-// is then image + journal replay.
+// (Store.DrainMedia, then Store.FlushJournal) forces pending WPQ
+// entries onto media — and the journal onto the file — before a
+// response is acknowledged. Recovery is then image + journal replay.
 //
 // Records are framed in batches, one per barrier flush:
 //

@@ -22,6 +22,7 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
+	"goptm/internal/metrics"
 	"goptm/internal/obs"
 	"goptm/internal/server"
 	"goptm/internal/simtime"
@@ -124,7 +125,7 @@ type Result struct {
 // Run executes one deterministic open-loop experiment.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	logBound := maxInt(cfg.MaxBatch, 8) // size the log for the largest sweep point
+	logBound := max(cfg.MaxBatch, 8) // size the log for the largest sweep point
 	if cfg.Adaptive && cfg.Ctrl.MaxBatch > logBound {
 		logBound = cfg.Ctrl.MaxBatch // the controller may grow batches to its bound
 	}
@@ -147,7 +148,7 @@ func Run(cfg Config) (Result, error) {
 	val := make([]byte, cfg.ValueBytes)
 	chunk := st.Config().MaxBatch
 	for base := 0; base < cfg.Keys; base += chunk {
-		end := minInt(base+chunk, cfg.Keys)
+		end := min(base+chunk, cfg.Keys)
 		th0.Atomic(func(tx *core.Tx) {
 			for k := base; k < end; k++ {
 				fillValue(val, uint64(k))
@@ -210,44 +211,32 @@ func Run(cfg Config) (Result, error) {
 	th0.Detach()
 	exec.Drain()
 
-	es := exec.Stats()
+	snap := exec.Snapshot()
 	res := Result{
 		Cfg:       cfg,
-		Executed:  es.Executed,
-		Shed:      es.Shed,
+		Executed:  snap.Executed(),
+		Shed:      snap.Shed(),
 		Rejected:  rejected,
-		P50:       es.Latency.P50(),
-		P90:       es.Latency.P90(),
-		P99:       es.Latency.P99(),
-		P999:      es.Latency.P999(),
-		Batches:   es.BatchSizes.Count(),
-		CtrlSteps: es.CtrlSteps,
-		Latency:   es.Latency,
+		P50:       snap.Latency.P50(),
+		P90:       snap.Latency.P90(),
+		P99:       snap.Latency.P99(),
+		P999:      snap.Latency.P999(),
+		Batches:   snap.BatchSizes.Count(),
+		CtrlSteps: snap.Counter(metrics.CtrSrvCtrlSteps),
+		Latency:   *snap.Latency,
 	}
 	if cfg.Adaptive {
 		res.CtrlTraceFNV = exec.CtrlTraceFNV()
 	}
 	if res.Batches > 0 {
-		res.MeanBatch = float64(es.Executed) / float64(res.Batches)
+		res.MeanBatch = float64(res.Executed) / float64(res.Batches)
 	}
 	// Elapsed runs to the last shard's final virtual timestamp.
-	res.ElapsedNS = lastVT(exec) - start
+	res.ElapsedNS = exec.LastVT() - start
 	if res.ElapsedNS > 0 {
 		res.Throughput = float64(res.Executed) / (float64(res.ElapsedNS) / 1e9)
 	}
 	return res, nil
-}
-
-// lastVT returns the latest per-shard clock — the drain completion
-// time of the slowest shard.
-func lastVT(exec *server.Executor) int64 {
-	var max int64
-	for i := 0; i < exec.Config().Shards; i++ {
-		if vt := exec.ShardVT(i); vt > max {
-			max = vt
-		}
-	}
-	return max
 }
 
 // Curve runs the same workload at each batch size and returns the
@@ -289,18 +278,4 @@ func fillValue(v []byte, seed uint64) {
 	for i := range v {
 		v[i] = byte(seed + uint64(i)*131)
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

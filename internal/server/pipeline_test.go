@@ -69,11 +69,11 @@ func TestPipelinedBurstFillsBatches(t *testing.T) {
 	expectLine(t, r, "value-84") // i=352 is the last write of key-0: 352%100
 	expectLine(t, r, "END")
 
-	es := exec.Stats()
-	if es.Executed < n {
-		t.Fatalf("executed %d, want >= %d", es.Executed, n)
+	es := exec.Snapshot()
+	if es.Executed() < n {
+		t.Fatalf("executed %d, want >= %d", es.Executed(), n)
 	}
-	mean := float64(es.Executed) / float64(es.BatchSizes.Count())
+	mean := float64(es.Executed()) / float64(es.BatchSizes.Count())
 	if mean < 1.5 {
 		t.Fatalf("mean batch %.2f over %d batches: pipelined burst did not coalesce", mean, es.BatchSizes.Count())
 	}
@@ -186,12 +186,12 @@ func TestPopTimeShedding(t *testing.T) {
 	exec := NewExecutor(st, ExecConfig{Shards: 1, DeadlineNS: 1000})
 	// Warm the shard clock past the deadline with a real request.
 	submit(t, exec, &Request{Op: OpSet, Key: []byte("warm"), Value: []byte("x")})
-	for exec.ShardVT(0) <= 2000 {
+	for exec.LastVT() <= 2000 {
 		submit(t, exec, &Request{Op: OpSet, Key: []byte("warm"), Value: []byte("x")})
 	}
 	// The warm requests themselves may age out under the tight
 	// deadline; only the delta from here on is the assertion.
-	preShed := exec.ShardShed(0)
+	preShed := exec.Snapshot().Shards[0].Shed
 	// EnqVT=1 is ancient relative to the shard clock: must shed.
 	stale := &Request{Op: OpGet, Key: []byte("warm"), EnqVT: 1, Done: make(chan struct{})}
 	if !exec.Submit(stale) {
@@ -202,16 +202,16 @@ func TestPopTimeShedding(t *testing.T) {
 		t.Fatal("stale request executed; want pop-time shed")
 	}
 	exec.Drain()
-	es := exec.Stats()
-	if got := exec.ShardShed(0) - preShed; got != 1 {
+	es := exec.Snapshot()
+	if got := es.Shards[0].Shed - preShed; got != 1 {
 		t.Fatalf("shard shed delta = %d, want 1", got)
 	}
-	if es.Shed != exec.ShardShed(0) {
-		t.Fatalf("stats shed = %d, shard shed = %d: roll-up disagrees", es.Shed, exec.ShardShed(0))
+	if es.Shed() != es.Shards[0].Shed {
+		t.Fatalf("stats shed = %d, shard shed = %d: roll-up disagrees", es.Shed(), es.Shards[0].Shed)
 	}
-	if es.Latency.Count() != es.Executed {
+	if es.Latency.Count() != es.Executed() {
 		t.Fatalf("latency count %d != executed %d: shed request polluted the histogram",
-			es.Latency.Count(), es.Executed)
+			es.Latency.Count(), es.Executed())
 	}
 }
 
@@ -223,8 +223,8 @@ func TestWarmupExcludedFromLatency(t *testing.T) {
 	submit(t, exec, &Request{Op: OpSet, Key: []byte("w"), Value: []byte("x"), Warmup: true})
 	submit(t, exec, &Request{Op: OpGet, Key: []byte("w")})
 	exec.Drain()
-	es := exec.Stats()
-	if es.Executed != 2 || es.Latency.Count() != 1 {
-		t.Fatalf("executed %d latency-count %d, want 2 and 1", es.Executed, es.Latency.Count())
+	es := exec.Snapshot()
+	if es.Executed() != 2 || es.Latency.Count() != 1 {
+		t.Fatalf("executed %d latency-count %d, want 2 and 1", es.Executed(), es.Latency.Count())
 	}
 }

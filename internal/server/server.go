@@ -3,7 +3,7 @@
 // (§V, memcached under memaslap load), but run as a real service
 // rather than a closed-loop microbenchmark.
 //
-// The package has three parts:
+// The package has four parts:
 //
 //   - Store (this file) — the persistent state: a byte-string KV table
 //     (kvstore.KV over the transactional hash index) on a PTM heap,
@@ -15,7 +15,13 @@
 //     commit coalescing: per-shard bounded request queues feed worker
 //     threads that group adjacent writes into one transaction, bounded
 //     by batch size and a virtual-time window, with per-request
-//     deadlines and load shedding for graceful degradation.
+//     deadlines and load shedding for graceful degradation. Every
+//     finished batch leaves one completion record that the stats, the
+//     tracer (trace.go), the flight ring (flight.go) and the adaptive
+//     controller (controller.go) consume.
+//   - Snapshot (snapshot.go) — the one point-in-time view of all of
+//     it, rendered as memcached stats, Prometheus text (telemetry.go)
+//     and JSON.
 //   - Server (tcp.go) — a TCP frontend speaking a memcached text
 //     protocol subset (get/set/delete/incr/stats/quit) with graceful
 //     drain on shutdown.
@@ -482,21 +488,16 @@ func (st *Store) FinishJournal() {
 	st.wal = nil
 }
 
-// DrainPersist is the durable-ack barrier: force every pending WPQ
-// entry onto simulated media, advance the calling shard's clock to the
-// last drain completion (the honest virtual-time cost of waiting), and
-// flush the journal batch to the host file. Only after this may the
-// batch's responses be acknowledged — an acked write is then
-// reconstructible from image + journal even if the process is killed
-// the next instant.
-func (st *Store) DrainPersist(th *core.Thread) error {
-	st.DrainMedia(th)
-	return st.FlushJournal()
-}
+// The durable-ack barrier has two halves, run in this order by the
+// executor before any response of a batch is acknowledged: DrainMedia
+// forces every pending WPQ entry onto simulated media, FlushJournal
+// pushes the resulting journal batch to the host file. An acked write
+// is then reconstructible from image + journal even if the process is
+// killed the next instant.
 
 // DrainMedia is the barrier's first half: force every pending WPQ
-// entry onto simulated media and charge the calling shard the virtual
-// time the drain took.
+// entry onto simulated media and advance the calling shard's clock to
+// the last drain completion (the honest virtual-time cost of waiting).
 func (st *Store) DrainMedia(th *core.Thread) {
 	n, maxVT := st.tm.Bus().Device().DrainAll()
 	if n > 0 {

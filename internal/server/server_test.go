@@ -61,9 +61,9 @@ func TestExecutorOps(t *testing.T) {
 	}
 
 	exec.Drain()
-	es := exec.Stats()
-	if es.Executed != 7 {
-		t.Fatalf("executed = %d, want 7", es.Executed)
+	es := exec.Snapshot()
+	if es.Executed() != 7 {
+		t.Fatalf("executed = %d, want 7", es.Executed())
 	}
 	if es.Latency.Count() != 7 {
 		t.Fatalf("latency samples = %d, want 7", es.Latency.Count())
@@ -92,12 +92,7 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 	exec.Drain()
 
-	var vt int64
-	for i := 0; i < exec.Config().Shards; i++ {
-		if v := exec.ShardVT(i); v > vt {
-			vt = v
-		}
-	}
+	vt := exec.LastVT()
 	st.Crash(vt)
 	path := filepath.Join(t.TempDir(), "kv.img")
 	if err := st.SaveImage(path); err != nil {
@@ -175,13 +170,7 @@ func TestRecoveryMidBatch(t *testing.T) {
 			}
 			exec.Drain() // the worker dies at the injected power failure
 
-			var vt int64
-			for i := 0; i < exec.Config().Shards; i++ {
-				if v := exec.ShardVT(i); v > vt {
-					vt = v
-				}
-			}
-			st.Crash(vt)
+			st.Crash(exec.LastVT())
 			path := filepath.Join(t.TempDir(), "crash.img")
 			if err := st.SaveImage(path); err != nil {
 				t.Fatal(err)
@@ -294,12 +283,7 @@ func TestServerTCP(t *testing.T) {
 	conn.Close()
 
 	srv.Shutdown()
-	var vt int64
-	for i := 0; i < exec.Config().Shards; i++ {
-		if v := exec.ShardVT(i); v > vt {
-			vt = v
-		}
-	}
+	vt := exec.LastVT()
 	st.Crash(vt)
 	path := filepath.Join(t.TempDir(), "tcp.img")
 	if err := st.SaveImage(path); err != nil {

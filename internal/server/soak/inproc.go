@@ -157,7 +157,12 @@ func (tr *inprocTransport) get(key string) (outcome, bool, uint64) {
 func (tr *inprocTransport) incr(key string, delta uint64) (outcome, bool, uint64) {
 	req := &server.Request{Op: server.OpIncr, Key: []byte(key), Delta: delta}
 	o := tr.t.submit(req, opTimeout)
-	if o.acked && req.Err != nil {
+	switch {
+	case !o.acked:
+		// Not completed (timed out, shed, or never enqueued): the shard
+		// worker may still own req, so its result fields are off limits.
+		return o, false, 0
+	case req.Err != nil:
 		return outcome{maybe: 1}, false, 0
 	}
 	return o, req.Found, req.NewVal
@@ -166,7 +171,10 @@ func (tr *inprocTransport) incr(key string, delta uint64) (outcome, bool, uint64
 func (tr *inprocTransport) del(key string) (outcome, bool) {
 	req := &server.Request{Op: server.OpDelete, Key: []byte(key)}
 	o := tr.t.submit(req, opTimeout)
-	if o.acked && req.Err != nil {
+	switch {
+	case !o.acked:
+		return o, false // as in incr: req may still belong to the worker
+	case req.Err != nil:
 		return outcome{maybe: 1}, false
 	}
 	return o, req.Found
@@ -192,12 +200,7 @@ func (t *inprocTarget) kill(mode string, rng *prand) error {
 // start recovers from.
 func (t *inprocTarget) awaitDead() error {
 	t.exec.Drain()
-	var vt int64
-	for i := 0; i < t.exec.Config().Shards; i++ {
-		if v := t.exec.ShardVT(i); v > vt {
-			vt = v
-		}
-	}
+	vt := t.exec.LastVT()
 	t.armed.Store(false)
 	dirty := t.dirty
 	t.dirty = false

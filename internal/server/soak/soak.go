@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"goptm/internal/simtime"
 )
 
 // Config parameterizes one soak run. Zero values select the defaults
@@ -190,13 +192,7 @@ func ConfigOf(r Repro, bin, image string) Config {
 // the harness so a seed fully determines workload and kill timing.
 type prand struct{ s uint64 }
 
-func (r *prand) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *prand) next() uint64 { return simtime.SplitMix64Next(&r.s) }
 
 func (r *prand) intn(n int) int { return int(r.next() % uint64(n)) }
 

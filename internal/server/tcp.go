@@ -7,11 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
-
-	"goptm/internal/metrics"
 )
 
 // The TCP frontend speaks the memcached text protocol subset the
@@ -225,25 +222,21 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		// cross-shard keys execute concurrently, and the writer gathers
 		// responses back in request order.
 		keys := fields[1:]
-		reqs := make([]*Request, len(keys))
-		p := &pending{}
-		allSubmitted := true
-		for i, key := range keys {
+		p := &pending{wait: make([]*Request, 0, len(keys))}
+		for _, key := range keys {
 			req := &Request{Op: OpGet, Key: key, Done: make(chan struct{})}
 			req.Trace = srv.exec.TraceStart(0) // wall clock; parse boundary
 			if !srv.exec.Submit(req) {
-				allSubmitted = false
 				break
 			}
-			reqs[i] = req
 			p.wait = append(p.wait, req)
 		}
 		p.render = func(w *bufio.Writer) {
-			if !allSubmitted {
+			if len(p.wait) < len(keys) {
 				fmt.Fprintf(w, "SERVER_ERROR busy\r\n")
 				return
 			}
-			for i, req := range reqs {
+			for i, req := range p.wait {
 				if req.Shed || req.Err == ErrDraining {
 					fmt.Fprintf(w, "SERVER_ERROR busy\r\n")
 					return
@@ -300,12 +293,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		val := payload[:nbytes]
 		req := &Request{Op: OpSet, Key: fields[1], Value: val, Flags: uint32(flags)}
 		return srv.submitCmd(req, noreply, func(w *bufio.Writer) {
-			switch {
-			case errors.Is(req.Err, ErrDurable):
-				fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
-			case req.Err != nil:
+			if req.Err != nil {
 				fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", req.Err)
-			default:
+			} else {
 				fmt.Fprintf(w, "STORED\r\n")
 			}
 		}), nil
@@ -317,12 +307,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		noreply := len(fields) >= 3 && string(fields[2]) == "noreply"
 		req := &Request{Op: OpDelete, Key: fields[1]}
 		return srv.submitCmd(req, noreply, func(w *bufio.Writer) {
-			switch {
-			case errors.Is(req.Err, ErrDurable):
-				fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
-			case req.Found:
+			if req.Found {
 				fmt.Fprintf(w, "DELETED\r\n")
-			default:
+			} else {
 				fmt.Fprintf(w, "NOT_FOUND\r\n")
 			}
 		}), nil
@@ -338,8 +325,6 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		req := &Request{Op: OpIncr, Key: fields[1], Delta: delta}
 		return srv.submitCmd(req, false, func(w *bufio.Writer) {
 			switch {
-			case errors.Is(req.Err, ErrDurable):
-				fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
 			case req.Err != nil:
 				fmt.Fprintf(w, "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
 			case !req.Found:
@@ -350,7 +335,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		}), nil
 
 	case "stats":
-		return &pending{render: srv.writeStats}, nil
+		// Rendered in turn, so the numbers reflect every earlier command
+		// on this connection.
+		return &pending{render: func(w *bufio.Writer) { srv.exec.Snapshot().writeStats(w) }}, nil
 
 	default:
 		return respond("ERROR\r\n"), nil
@@ -358,9 +345,11 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 }
 
 // submitCmd submits one mutation request and builds its pending: a
-// rejected or shed request renders SERVER_ERROR busy; noreply renders
-// nothing (and, with no response to order, does not hold the response
-// stream — the request is fire-and-forget).
+// rejected or shed request renders SERVER_ERROR busy, one whose
+// durable-ack barrier failed SERVER_ERROR persistence failure, anything
+// else through render; noreply renders nothing (and, with no response
+// to order, does not hold the response stream — the request is
+// fire-and-forget).
 func (srv *Server) submitCmd(req *Request, noreply bool, render func(w *bufio.Writer)) *pending {
 	if !noreply {
 		req.Done = make(chan struct{})
@@ -376,56 +365,13 @@ func (srv *Server) submitCmd(req *Request, noreply bool, render func(w *bufio.Wr
 		return nil
 	}
 	return &pending{wait: []*Request{req}, render: func(w *bufio.Writer) {
-		if req.Shed || req.Err == ErrDraining {
+		switch {
+		case req.Shed || req.Err == ErrDraining:
 			fmt.Fprintf(w, "SERVER_ERROR busy\r\n")
-			return
+		case errors.Is(req.Err, ErrDurable):
+			fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
+		default:
+			render(w)
 		}
-		render(w)
 	}}
-}
-
-// statLines assembles the full stats key set in sorted order. Every
-// key is always present — the controller gauges read 0 and the
-// per-shard operating points read the static configuration when no
-// controller runs — so a monitoring client can parse the response
-// against a fixed schema (the stats test pins exactly this key set).
-func (srv *Server) statLines() []string {
-	met := srv.st.tm.Metrics()
-	lines := []string{
-		fmt.Sprintf("batched_ops_total %d", met.Get(metrics.CtrSrvBatchedOps)),
-		fmt.Sprintf("batches_total %d", met.Get(metrics.CtrSrvBatches)),
-		fmt.Sprintf("cmd_total %d", met.Get(metrics.CtrSrvRequests)),
-		fmt.Sprintf("ctrl_steps %d", met.Get(metrics.CtrSrvCtrlSteps)),
-		fmt.Sprintf("ctrl_steps_down %d", met.Get(metrics.CtrSrvCtrlDown)),
-		fmt.Sprintf("ctrl_steps_up %d", met.Get(metrics.CtrSrvCtrlUp)),
-		fmt.Sprintf("queue_depth %d", srv.exec.QueueDepth()),
-		fmt.Sprintf("shed_total %d", met.Get(metrics.CtrSrvShed)),
-		fmt.Sprintf("txn_aborts %d", met.Get(metrics.CtrAborts)),
-		fmt.Sprintf("txn_commits %d", met.Get(metrics.CtrCommits)),
-	}
-	for i := 0; i < srv.exec.NumShards(); i++ {
-		cap, window := srv.exec.ShardParams(i)
-		var steps int64
-		if _, _, s, ok := srv.exec.ShardCtrl(i); ok {
-			steps = s
-		}
-		lines = append(lines,
-			fmt.Sprintf("shard%d_batch_cap %d", i, cap),
-			fmt.Sprintf("shard%d_ctrl_steps %d", i, steps),
-			fmt.Sprintf("shard%d_queue_depth %d", i, srv.exec.ShardQueueDepth(i)),
-			fmt.Sprintf("shard%d_shed %d", i, srv.exec.ShardShed(i)),
-			fmt.Sprintf("shard%d_window_ns %d", i, window),
-		)
-	}
-	sort.Strings(lines)
-	return lines
-}
-
-// writeStats emits the service counters in "STAT name value" form,
-// keys in sorted order.
-func (srv *Server) writeStats(w *bufio.Writer) {
-	for _, line := range srv.statLines() {
-		fmt.Fprintf(w, "STAT %s\r\n", line)
-	}
-	fmt.Fprintf(w, "END\r\n")
 }

@@ -5,19 +5,15 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
-
-	"goptm/internal/metrics"
-	"goptm/internal/stats"
 )
 
 // The telemetry plane is an opt-in localhost HTTP listener that makes
 // a running ptmserve observable without stopping it: the machine's
 // counter registry plus the serving layer's live gauges and latency
-// summaries, in two formats from one snapshot path —
+// summaries, in two renderings of one Executor.Snapshot —
 //
 //   GET /metrics  — Prometheus text exposition (scrapable);
 //   GET /snapshot — the same state as one JSON document;
@@ -30,121 +26,14 @@ import (
 // Telemetry is a running telemetry listener.
 type Telemetry struct {
 	srv  *http.Server
-	ln   net.Listener
 	wg   sync.WaitGroup
 	addr string
-}
-
-// TelemetrySnapshot is the /snapshot document.
-type TelemetrySnapshot struct {
-	WallNS     int64            `json:"wall_ns"`
-	Counters   map[string]int64 `json:"counters"`
-	QueueDepth int64            `json:"queue_depth"`
-	Shards     []ShardSnapshot  `json:"shards"`
-
-	Latency      *stats.Histogram `json:"latency_ns"`
-	BatchSizes   *stats.Histogram `json:"batch_sizes"`
-	AckBarrier   *stats.Histogram `json:"ack_barrier_ns"`
-	JournalFlush *stats.Histogram `json:"journal_flush_ns"`
-
-	FlightSeq uint64 `json:"flight_seq"` // 0 when no flight recorder
-}
-
-// ShardSnapshot is one shard's live operating point.
-type ShardSnapshot struct {
-	Shard      int   `json:"shard"`
-	QueueDepth int   `json:"queue_depth"`
-	Shed       int64 `json:"shed"`
-	BatchCap   int   `json:"batch_cap"`
-	WindowNS   int64 `json:"window_ns"`
-	CtrlSteps  int64 `json:"ctrl_steps"` // 0 when static
-}
-
-// snapshot assembles the document all endpoints serve from.
-func telemetrySnapshot(st *Store, exec *Executor, flight *FlightRecorder) TelemetrySnapshot {
-	es := exec.Stats()
-	flush := st.JournalFlushStats()
-	snap := TelemetrySnapshot{
-		WallNS:       time.Now().UnixNano(),
-		Counters:     map[string]int64{},
-		QueueDepth:   exec.QueueDepth(),
-		Latency:      &es.Latency,
-		BatchSizes:   &es.BatchSizes,
-		AckBarrier:   &es.AckBarrier,
-		JournalFlush: &flush,
-		FlightSeq:    flight.Seq(),
-	}
-	met := st.tm.Metrics()
-	for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
-		snap.Counters[c.String()] = met.Get(c)
-	}
-	for i := 0; i < exec.NumShards(); i++ {
-		cap, win := exec.ShardParams(i)
-		var steps int64
-		if _, _, s, ok := exec.ShardCtrl(i); ok {
-			steps = s
-		}
-		snap.Shards = append(snap.Shards, ShardSnapshot{
-			Shard:      i,
-			QueueDepth: exec.ShardQueueDepth(i),
-			Shed:       exec.ShardShed(i),
-			BatchCap:   cap,
-			WindowNS:   win,
-			CtrlSteps:  steps,
-		})
-	}
-	return snap
-}
-
-// writeProm renders the snapshot in the Prometheus text exposition
-// format, metric families in sorted name order (the CI smoke parses
-// every line).
-func writeProm(w *strings.Builder, snap TelemetrySnapshot) {
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fam := "goptm_" + name + "_total"
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", fam, fam, snap.Counters[name])
-	}
-	fmt.Fprintf(w, "# TYPE goptm_srv_queue_depth gauge\ngoptm_srv_queue_depth %d\n", snap.QueueDepth)
-	promShardGauge(w, "goptm_srv_shard_batch_cap", snap.Shards, func(s ShardSnapshot) int64 { return int64(s.BatchCap) })
-	promShardGauge(w, "goptm_srv_shard_ctrl_steps", snap.Shards, func(s ShardSnapshot) int64 { return s.CtrlSteps })
-	promShardGauge(w, "goptm_srv_shard_queue_depth", snap.Shards, func(s ShardSnapshot) int64 { return int64(s.QueueDepth) })
-	promShardGauge(w, "goptm_srv_shard_shed", snap.Shards, func(s ShardSnapshot) int64 { return s.Shed })
-	promShardGauge(w, "goptm_srv_shard_window_ns", snap.Shards, func(s ShardSnapshot) int64 { return s.WindowNS })
-	promSummary(w, "goptm_srv_ack_barrier_ns", snap.AckBarrier)
-	promSummary(w, "goptm_srv_batch_size", snap.BatchSizes)
-	promSummary(w, "goptm_srv_journal_flush_ns", snap.JournalFlush)
-	promSummary(w, "goptm_srv_request_latency_ns", snap.Latency)
-}
-
-func promShardGauge(w *strings.Builder, fam string, shards []ShardSnapshot, get func(ShardSnapshot) int64) {
-	fmt.Fprintf(w, "# TYPE %s gauge\n", fam)
-	for _, s := range shards {
-		fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", fam, s.Shard, get(s))
-	}
-}
-
-var promQuantiles = []struct {
-	label string
-	p     float64
-}{{"0.5", 50}, {"0.9", 90}, {"0.99", 99}, {"0.999", 99.9}}
-
-func promSummary(w *strings.Builder, fam string, h *stats.Histogram) {
-	fmt.Fprintf(w, "# TYPE %s summary\n", fam)
-	for _, q := range promQuantiles {
-		fmt.Fprintf(w, "%s{quantile=\"%s\"} %d\n", fam, q.label, h.Percentile(q.p))
-	}
-	fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", fam, h.Sum(), fam, h.Count())
 }
 
 // StartTelemetry binds the telemetry listener at addr (host defaults
 // to 127.0.0.1; the host must resolve to a loopback address) and
 // serves until Close.
-func StartTelemetry(addr string, st *Store, exec *Executor, flight *FlightRecorder) (*Telemetry, error) {
+func StartTelemetry(addr string, exec *Executor) (*Telemetry, error) {
 	host, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: bad address %q: %w", addr, err)
@@ -163,7 +52,7 @@ func StartTelemetry(addr string, st *Store, exec *Executor, flight *FlightRecord
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var b strings.Builder
-		writeProm(&b, telemetrySnapshot(st, exec, flight))
+		exec.Snapshot().writeProm(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write([]byte(b.String()))
 	})
@@ -171,7 +60,7 @@ func StartTelemetry(addr string, st *Store, exec *Executor, flight *FlightRecord
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(telemetrySnapshot(st, exec, flight))
+		enc.Encode(exec.Snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -179,7 +68,6 @@ func StartTelemetry(addr string, st *Store, exec *Executor, flight *FlightRecord
 
 	t := &Telemetry{
 		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second},
-		ln:   ln,
 		addr: ln.Addr().String(),
 	}
 	t.wg.Add(1)

@@ -55,7 +55,7 @@ func startTelemetryStore(t *testing.T) (*Store, *Executor, *Telemetry) {
 	t.Helper()
 	st := testStore(t, StoreConfig{Shards: 2})
 	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, IdleSleep: 50 * time.Microsecond})
-	tel, err := StartTelemetry("127.0.0.1:0", st, exec, nil)
+	tel, err := StartTelemetry("127.0.0.1:0", exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 		submit(t, exec, &Request{Op: OpSet, Key: fmt.Appendf(nil, "k%d", i), Value: []byte("v")})
 	}
 
-	var snap TelemetrySnapshot
+	var snap Snapshot
 	if err := json.Unmarshal([]byte(httpGet(t, tel.Addr(), "/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +156,16 @@ func TestTelemetryLoopbackOnly(t *testing.T) {
 	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, IdleSleep: 50 * time.Microsecond})
 	defer exec.Drain()
 	for _, addr := range []string{"0.0.0.0:0", "8.8.8.8:0", "example.com:0"} {
-		if tel, err := StartTelemetry(addr, st, exec, nil); err == nil {
+		if tel, err := StartTelemetry(addr, exec); err == nil {
 			tel.Close()
 			t.Fatalf("StartTelemetry(%q) accepted a non-loopback bind", addr)
 		}
 	}
-	if _, err := StartTelemetry("nonsense", st, exec, nil); err == nil {
+	if _, err := StartTelemetry("nonsense", exec); err == nil {
 		t.Fatal("bad address accepted")
 	}
 	for _, addr := range []string{":0", "localhost:0", "127.0.0.1:0"} {
-		tel, err := StartTelemetry(addr, st, exec, nil)
+		tel, err := StartTelemetry(addr, exec)
 		if err != nil {
 			t.Fatalf("StartTelemetry(%q): %v", addr, err)
 		}
@@ -181,7 +181,7 @@ func TestTelemetryShutdownNoLeak(t *testing.T) {
 	defer exec.Drain()
 
 	before := runtime.NumGoroutine()
-	tel, err := StartTelemetry("127.0.0.1:0", st, exec, nil)
+	tel, err := StartTelemetry("127.0.0.1:0", exec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"goptm/internal/obs"
+	"goptm/internal/simtime"
 )
 
 // reqTracer makes the request-lifecycle sampling decision and owns
@@ -13,10 +14,11 @@ import (
 // real TCP server (so wall-time traces still start near zero and load
 // into ui.perfetto.dev without µs-precision loss).
 //
-// A nil tracer is the disabled configuration: every Submit/pop/batch
-// site costs exactly one nil check on the Request's Trace pointer, so
-// the op path stays allocation-free and the virtual timeline — and
-// with it every golden-pinned loadsim hash — is untouched.
+// A nil tracer is the disabled configuration: the Submit and pop sites
+// cost one nil check on the Request's Trace pointer and a completion
+// record one on the tracer, so the op path stays allocation-free and
+// the virtual timeline — and with it every golden-pinned loadsim hash
+// — is untouched.
 type reqTracer struct {
 	rec   *obs.Recorder
 	every uint64
@@ -39,26 +41,18 @@ func newReqTracer(rec *obs.Recorder, sample int, seed uint64, wall bool) *reqTra
 	return t
 }
 
-// splitmix64 is the sampler's mixing function — the same generator
-// the soak harness seeds with, chosen here because one multiply-xor
-// chain turns (seed, arrival index) into an unbiased keep/drop coin.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// now is the tracer's clock: vt as given, or host ns since the epoch.
+// now is the tracer's clock: vt as given (always, for a nil tracer),
+// or host ns since the epoch.
 func (t *reqTracer) now(vt int64) int64 {
-	if t.wall {
+	if t != nil && t.wall {
 		return time.Now().UnixNano() - t.epoch
 	}
 	return vt
 }
 
 // start decides whether the next arriving request is sampled. The
-// decision hashes the arrival index with the seed, so a fixed (seed,
+// decision hashes the arrival index with the seed (one SplitMix64 step
+// turns the pair into an unbiased keep/drop coin), so a fixed (seed,
 // sample) picks the same arrivals on every run of a deterministic
 // workload — and the parse boundary TS[0] is stamped at vt (or wall
 // now). Nil-safe: a nil tracer samples nothing.
@@ -67,7 +61,7 @@ func (t *reqTracer) start(vt int64) *obs.ReqRecord {
 		return nil
 	}
 	id := t.n.Add(1) - 1
-	if t.every > 1 && splitmix64(t.seed^id)%t.every != 0 {
+	if t.every > 1 && simtime.SplitMix64(t.seed^id)%t.every != 0 {
 		return nil
 	}
 	rec := &obs.ReqRecord{ID: id}
@@ -75,10 +69,23 @@ func (t *reqTracer) start(vt int64) *obs.ReqRecord {
 	return rec
 }
 
-// finish hands a completed record to the recorder.
-func (t *reqTracer) finish(rec *obs.ReqRecord) {
-	if t == nil || rec == nil {
+// observe closes the chain of every sampled member of a completion
+// record — TS[3..6] from the record's boundaries, TS[7] at the
+// acknowledgment — and hands it to the recorder.
+func (t *reqTracer) observe(d *completion) {
+	if t == nil {
 		return
 	}
-	t.rec.Request(*rec)
+	stamps := [...]int64{d.closed, d.ran, d.drained, d.flushed, t.now(d.end)}
+	for _, req := range d.members {
+		q := req.Trace
+		if q == nil {
+			continue
+		}
+		for k, ts := range stamps {
+			q.Stamp(3+k, ts)
+		}
+		q.Shed = req.Shed
+		t.rec.Request(*q)
+	}
 }

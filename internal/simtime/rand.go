@@ -15,14 +15,24 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
 }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *Rand) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// SplitMix64Next steps the SplitMix64 stream whose state is *state and
+// returns its next output. Every deterministic coin in the repo —
+// workload generators, trace sampling, crashcheck op parameters,
+// client jitter, soak kill timing — is this one function.
+func SplitMix64Next(state *uint64) uint64 {
+	*state += 0x9E3779B97F4A7C15
+	z := *state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// SplitMix64 is the stateless form — the first output of the stream
+// seeded x — used as a hash of x.
+func SplitMix64(x uint64) uint64 { return SplitMix64Next(&x) }
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *Rand) Uint64() uint64 { return SplitMix64Next(&r.state) }
 
 // Intn returns a pseudo-random int in [0, n). n must be positive.
 func (r *Rand) Intn(n int) int {

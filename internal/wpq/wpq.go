@@ -376,16 +376,6 @@ func (c *Controller) Counters() Counters {
 	}
 }
 
-// Stats reports the number of WPQ accepts and the cumulative stall
-// time caused by a full queue.
-//
-// Deprecated: use Counters, which also carries the per-cause stall
-// breakdown and maximum occupancy.
-func (c *Controller) Stats() (accepts, stallTime int64) {
-	k := c.Counters()
-	return k.Accepts, k.StallNS
-}
-
 // Utilization reports total busy time of the NVM write ports, an
 // indicator of media write-bandwidth saturation.
 func (c *Controller) Utilization() (nvmWriteBusy, nvmReadBusy int64) {

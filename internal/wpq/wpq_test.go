@@ -51,7 +51,7 @@ func TestWPQBackpressure(t *testing.T) {
 	if accepts[4] != 100 {
 		t.Fatalf("accept[4] = %d, want 100 (stall until first drain)", accepts[4])
 	}
-	_, stall := c.Stats()
+	stall := c.Counters().StallNS
 	if stall != 100 {
 		t.Fatalf("stall time = %d, want 100", stall)
 	}
@@ -129,7 +129,7 @@ func TestStatsAndUtilization(t *testing.T) {
 	c := New(small())
 	c.EnqueueNVM(0, 0, 1, CauseCLWB)
 	c.EnqueueNVM(0, 0, 9, CauseCLWB) // non-sequential
-	accepts, _ := c.Stats()
+	accepts := c.Counters().Accepts
 	if accepts != 2 {
 		t.Fatalf("accepts = %d, want 2", accepts)
 	}
@@ -179,7 +179,7 @@ func TestConcurrentEnqueueSafety(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-	accepts, _ := c.Stats()
+	accepts := c.Counters().Accepts
 	if accepts != 8*2000 {
 		t.Fatalf("accepts = %d, want %d", accepts, 8*2000)
 	}
