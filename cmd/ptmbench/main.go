@@ -43,14 +43,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
 	"goptm/internal/harness"
 	"goptm/internal/metrics"
 	"goptm/internal/obs"
-	"goptm/internal/perfbench"
 	"goptm/internal/runner"
 	"goptm/internal/workload"
 	"goptm/internal/workload/kvstore"
@@ -61,32 +59,18 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every figure")
 	full := flag.Bool("full", false, "full paper scale (slower) instead of quick scale")
 	smoke := flag.Bool("smoke", false, "tiny seconds-scale panel (CI smoke)")
-	verbose := flag.Bool("v", false, "stream per-point progress")
 	csvPath := flag.String("csv", "", "also append machine-readable CSV rows to this file")
 	breakdown := flag.Bool("breakdown", false, "print per-phase overhead decomposition tables (attaches the breakdown recorder)")
 	counters := flag.Bool("counters", false, "print hardware-counter tables per panel (attaches the counter registry; measured numbers are unchanged)")
 	metricsJSON := flag.String("metricsjson", "", "write the sweep's diffable metrics report JSON to this file (implies -counters)")
 	tracePath := flag.String("trace", "", "run one small traced measurement of the figure and write Perfetto/Chrome trace-event JSON to this file (skips the full sweep)")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; output is identical either way)")
-	useCache := flag.Bool("cache", false, "serve previously simulated points from -cachedir and store fresh ones")
-	cacheDir := flag.String("cachedir", "results/cache", "content-addressed result cache directory")
-	cacheInvalidate := flag.Bool("cache-invalidate", false, "drop every cached result first (implies -cache)")
-	shardSpec := flag.String("shard", "", "run only shard i of n (\"i/n\", 1-based) for CI splitting")
+	sweepOptions := runner.OptionFlags(flag.CommandLine)
 	sweepTrace := flag.String("sweeptrace", "", "write a Perfetto trace of the sweep's own progress to this file")
-	perfJSON := flag.String("perfjson", "", "run the simulator hot-path perf suite and write the BENCH report JSON to this file (skips figure sweeps)")
-	perfBaseline := flag.String("perfbaseline", "", "previously written perf report to attach as the baseline of -perfjson (computes the sweep speedup)")
 	flag.Parse()
 
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "ptmbench: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *perfJSON != "" {
-		if err := runPerfSuite(*perfJSON, *perfBaseline); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	if *tracePath != "" {
@@ -115,7 +99,14 @@ func main() {
 	p.Observe = *breakdown
 	p.Counters = *counters || *metricsJSON != ""
 
-	opts, cleanup, err := sweepOptions(*jobs, *useCache || *cacheInvalidate, *cacheDir, *cacheInvalidate, *shardSpec, *verbose, *sweepTrace)
+	// One worker pool size, one cache, one shard and one Progress —
+	// whose totals accumulate across figures — for every panel of the
+	// invocation.
+	var sweepRec *obs.Recorder
+	if *sweepTrace != "" {
+		sweepRec = obs.New(1, true)
+	}
+	opts, err := sweepOptions(os.Stderr, sweepRec)
 	if err != nil {
 		fail(err)
 	}
@@ -153,64 +144,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "ptmbench: metrics report (%d cells) -> %s\n", len(report.Cells), *metricsJSON)
 	}
-	if err := cleanup(); err != nil {
-		fail(err)
+	fmt.Fprintf(os.Stderr, "ptmbench: %s\n", opts.Progress.Summary())
+	if sweepRec != nil {
+		if err := sweepRec.WriteTraceFile(*sweepTrace); err != nil {
+			fail(err)
+		}
 	}
 }
 
-// sweepOptions assembles the execution options shared by every panel
-// of the invocation: one worker pool size, one cache, one shard, and
-// one Progress whose totals accumulate across figures. The returned
-// cleanup prints the sweep summary (and writes the sweep trace).
-func sweepOptions(jobs int, useCache bool, cacheDir string, invalidate bool, shardSpec string, verbose bool, sweepTrace string) (harness.SweepOptions, func() error, error) {
-	opts := harness.SweepOptions{Jobs: jobs}
-	if useCache {
-		cache, err := runner.OpenCache(cacheDir)
-		if err != nil {
-			return opts, nil, err
-		}
-		if invalidate {
-			if err := cache.Invalidate(); err != nil {
-				return opts, nil, err
-			}
-		}
-		opts.Cache = cache
-	}
-	shard, err := runner.ParseShard(shardSpec)
-	if err != nil {
-		return opts, nil, err
-	}
-	opts.Shard = shard
-
-	var rec *obs.Recorder
-	if sweepTrace != "" {
-		rec = obs.New(1, true)
-	}
-	var w io.Writer
-	if verbose {
-		w = os.Stderr
-	}
-	opts.Progress = runner.NewProgress(w, rec)
-
-	cleanup := func() error {
-		fmt.Fprintf(os.Stderr, "ptmbench: %s\n", opts.Progress.Summary())
-		if rec != nil {
-			f, err := os.Create(sweepTrace)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := rec.WriteTrace(f); err != nil {
-				return err
-			}
-			return f.Close()
-		}
-		return nil
-	}
-	return opts, cleanup, nil
-}
-
-func runFigure(n int, p harness.Params, opts harness.SweepOptions, csvOut io.Writer, breakdown bool, report *metrics.Report) error {
+func runFigure(n int, p harness.Params, opts runner.Options, csvOut io.Writer, breakdown bool, report *metrics.Report) error {
 	emit := func(fig harness.Figure) error {
 		fig.Print(os.Stdout)
 		if breakdown {
@@ -236,7 +178,7 @@ func runFigure(n int, p harness.Params, opts harness.SweepOptions, csvOut io.Wri
 			name = "Figure 6"
 		}
 		for _, mk := range harness.PanelWorkloads() {
-			fig, err := harness.RunPanelOpts(name, mk, cells, p, opts)
+			fig, err := harness.RunPanel(name, mk, cells, p, opts)
 			if err != nil {
 				return err
 			}
@@ -251,7 +193,7 @@ func runFigure(n int, p harness.Params, opts harness.SweepOptions, csvOut io.Wri
 			cells = harness.Fig67Cells()
 			name = "Figure 7"
 		}
-		fig, err := harness.RunPanelOpts(name, harness.TATPWorkload(), cells, p, opts)
+		fig, err := harness.RunPanel(name, harness.TATPWorkload(), cells, p, opts)
 		if err != nil {
 			return err
 		}
@@ -259,7 +201,7 @@ func runFigure(n int, p harness.Params, opts harness.SweepOptions, csvOut io.Wri
 			return err
 		}
 	case 8:
-		points, err := harness.RunFig8Opts(p, opts)
+		points, err := harness.RunFig8(p, opts)
 		if err != nil {
 			return err
 		}
@@ -273,39 +215,6 @@ func runFigure(n int, p harness.Params, opts harness.SweepOptions, csvOut io.Wri
 		return fmt.Errorf("unknown figure %d", n)
 	}
 	return nil
-}
-
-// runPerfSuite measures the simulator's own hot-path speed (see
-// internal/perfbench) and writes the tracked BENCH report. When a
-// baseline report is given, its metrics are embedded and the sweep
-// speedup computed, which is how BENCH_4.json documents the scheduler
-// overhaul's wall-clock win.
-func runPerfSuite(path, baselinePath string) error {
-	rep, err := perfbench.Collect()
-	if err != nil {
-		return err
-	}
-	if baselinePath != "" {
-		base, err := perfbench.Load(baselinePath)
-		if err != nil {
-			return err
-		}
-		rep.AttachBaseline(base)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rep.Write(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ptmbench: perf suite -> %s", path)
-	if rep.SweepSpeedup > 0 {
-		fmt.Fprintf(os.Stderr, " (sweep speedup %.2fx)", rep.SweepSpeedup)
-	}
-	fmt.Fprintln(os.Stderr)
-	return f.Close()
 }
 
 // runTraced measures one small representative point of figure n with

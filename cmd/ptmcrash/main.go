@@ -1,9 +1,6 @@
-// Command ptmcrash is the crash-consistency test tool. It has four
+// Command ptmcrash is the crash-consistency test tool. It has three
 // modes:
 //
-//	(default)    — legacy torture: random crash points at named
-//	               protocol hooks, conservation check (kept as a fast
-//	               sanity loop).
 //	-exhaustive  — model checking: enumerate a crash at every persist
 //	               boundary the workload emits, layer adversarial
 //	               WPQ-drop / early-eviction / torn-write variants at
@@ -15,7 +12,8 @@
 //
 // Exhaustive and fuzz modes print a one-line JSON summary on stdout
 // and exit non-zero if any violation was found; -shrink reduces the
-// first violation to a minimal repro and writes it to -repro.
+// first violation to a minimal repro and writes it to -repro. With no
+// mode flag ptmcrash prints its usage and exits 2.
 package main
 
 import (
@@ -29,14 +27,7 @@ import (
 	"goptm/internal/core"
 	"goptm/internal/crashcheck"
 	"goptm/internal/durability"
-	"goptm/internal/memdev"
 	"goptm/internal/runner"
-	"goptm/internal/simtime"
-)
-
-const (
-	accounts       = 64
-	initialBalance = 1_000
 )
 
 // summary is the machine-readable result line.
@@ -52,8 +43,7 @@ type summary struct {
 }
 
 func main() {
-	iters := flag.Int("iters", 50, "legacy torture: crash/recover rounds per configuration")
-	seed := flag.Uint64("seed", 1, "workload determinism seed (and legacy torture RNG seed)")
+	seed := flag.Uint64("seed", 1, "workload determinism seed")
 	exhaustive := flag.Bool("exhaustive", false, "check every persist boundary of every selected configuration")
 	fuzz := flag.Bool("fuzz", false, "sample random persist boundaries until -seconds expires")
 	seconds := flag.Int("seconds", 30, "fuzz: total wall-clock budget across configurations")
@@ -76,7 +66,9 @@ func main() {
 		os.Exit(checkMode(*exhaustive, *workloads, *algos, *domains, *ops, *seed, *mutate,
 			*seconds, *doShrink, *reproPath, *jobs, *shardSpec))
 	default:
-		os.Exit(tortureMode(*iters, *seed))
+		fmt.Fprintln(os.Stderr, "ptmcrash: choose a mode: -exhaustive, -fuzz, or -replay FILE")
+		flag.Usage()
+		os.Exit(2)
 	}
 }
 
@@ -86,18 +78,22 @@ func fail(err error) int {
 	return 2
 }
 
-// selectAlgos resolves the -algo flag.
+// selectAlgos resolves the -algo flag: the two logging algorithms
+// (the checker has no HTM oracle), by the paper's names or the
+// runtime's ("lazy", "eager").
 func selectAlgos(name string) ([]core.Algo, error) {
 	switch name {
 	case "all":
 		return []core.Algo{core.OrecLazy, core.OrecEager}, nil
-	case "redo", "lazy":
-		return []core.Algo{core.OrecLazy}, nil
-	case "undo", "eager":
-		return []core.Algo{core.OrecEager}, nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (want redo, undo, or all)", name)
+	case "lazy":
+		name = "redo"
+	case "eager":
+		name = "undo"
 	}
+	if a, ok := core.ParseAlgo(name); ok && a != core.AlgoHTM {
+		return []core.Algo{a}, nil
+	}
+	return nil, fmt.Errorf("unknown algorithm %q (want redo, undo, or all)", name)
 }
 
 // selectDomains resolves the -domain flag.
@@ -234,125 +230,4 @@ func replayMode(path string) int {
 	}
 	fmt.Printf("reproduced: %s\n", v.String())
 	return 1
-}
-
-// tortureMode is the legacy random-point crash loop.
-func tortureMode(iters int, seed uint64) int {
-	domains := []durability.Domain{durability.ADR, durability.EADR, durability.PDRAM, durability.PDRAMLite}
-	algos := []core.Algo{core.OrecLazy, core.OrecEager}
-
-	total := 0
-	for _, dom := range domains {
-		for _, algo := range algos {
-			n, err := torture(algo, dom, iters, seed)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ptmcrash: %v/%v: %v\n", algo, dom, err)
-				return 1
-			}
-			total += n
-			fmt.Printf("%-6v %-11v %4d crash points survived\n", algo, dom, n)
-		}
-	}
-	fmt.Printf("OK: %d crash/recover rounds, all invariants held\n", total)
-	return 0
-}
-
-// torture runs iters rounds for one configuration and returns the
-// number of crash points exercised.
-func torture(algo core.Algo, dom durability.Domain, iters int, seed uint64) (int, error) {
-	points := []string{"lazy:pre-marker", "lazy:post-marker", "lazy:mid-writeback", "lazy:post-writeback"}
-	if algo == core.OrecEager {
-		points = []string{"eager:post-log", "eager:pre-clear"}
-	}
-	r := simtime.NewRand(seed)
-	survived := 0
-	for i := 0; i < iters; i++ {
-		tm, err := core.New(core.Config{
-			Algo: algo, Medium: core.MediumNVM, Domain: dom,
-			Threads: 1, HeapWords: 1 << 16, MaxLogEntries: 256, OrecSize: 1 << 12,
-		})
-		if err != nil {
-			return survived, err
-		}
-
-		// Build the bank.
-		th := tm.Thread(0)
-		var base memdev.Addr
-		th.Atomic(func(tx *core.Tx) {
-			base = tx.Alloc(accounts)
-			for a := 0; a < accounts; a++ {
-				tx.Store(base+memdev.Addr(a), initialBalance)
-			}
-		})
-		tm.SetRoot(th, 0, base)
-
-		// Commit a few transfers, then crash one mid-protocol.
-		committed := 5 + r.Intn(20)
-		for t := 0; t < committed; t++ {
-			transfer(th, base, r)
-		}
-		point := points[r.Intn(len(points))]
-		fired := false
-		tm.SetCrashHook(func(p string, _ *core.Thread) {
-			if p == point && !fired {
-				fired = true
-				panic(core.PowerFailure{Point: p})
-			}
-		})
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(core.PowerFailure); !ok {
-						panic(rec)
-					}
-				}
-			}()
-			transfer(th, base, r)
-		}()
-		vt := th.Now()
-		th.Detach()
-		tm.Crash(vt)
-
-		tm2, _, err := core.Reopen(tm.Bus(), tm.Config())
-		if err != nil {
-			return survived, fmt.Errorf("round %d (%s): reopen: %w", i, point, err)
-		}
-		if err := verify(tm2); err != nil {
-			return survived, fmt.Errorf("round %d (crash at %s): %w", i, point, err)
-		}
-		survived++
-	}
-	return survived, nil
-}
-
-// transfer moves a random amount between two random accounts.
-func transfer(th *core.Thread, base memdev.Addr, r *simtime.Rand) {
-	from := memdev.Addr(r.Intn(accounts))
-	to := memdev.Addr(r.Intn(accounts))
-	amt := uint64(r.Intn(100))
-	th.Atomic(func(tx *core.Tx) {
-		f := tx.Load(base + from)
-		tx.Store(base+from, f-amt)
-		t := tx.Load(base + to)
-		tx.Store(base+to, t+amt)
-	})
-}
-
-// verify checks conservation of the total balance on the recovered
-// heap.
-func verify(tm *core.TM) error {
-	th := tm.Thread(0)
-	defer th.Detach()
-	base := tm.Root(th, 0)
-	var sum uint64
-	th.Atomic(func(tx *core.Tx) {
-		sum = 0
-		for a := 0; a < accounts; a++ {
-			sum += tx.Load(base + memdev.Addr(a))
-		}
-	})
-	if want := uint64(accounts * initialBalance); sum != want {
-		return fmt.Errorf("total balance %d, want %d — atomicity violated", sum, want)
-	}
-	return nil
 }

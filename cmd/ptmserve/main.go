@@ -70,19 +70,6 @@ import (
 	"goptm/internal/server/loadsim"
 )
 
-// writeTraceFile exports the recorder's Perfetto JSON to path.
-func writeTraceFile(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // adaptiveCtrl bounds the -adaptive controller. Only the batch-cap
 // ceiling departs from CtrlConfig's defaults (cap floor 1, window 0 to
 // 16384 ns, evaluate every 8192 ns, +4 ops / +1024 ns per pressured
@@ -132,15 +119,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	var algo core.Algo
-	switch *algoName {
-	case "redo":
-		algo = core.OrecLazy
-	case "undo":
-		algo = core.OrecEager
-	case "htm":
-		algo = core.AlgoHTM
-	default:
+	algo, ok := core.ParseAlgo(*algoName)
+	if !ok {
 		fail(fmt.Errorf("unknown algorithm %q", *algoName))
 	}
 	domain, err := durability.Parse(*domainName)
@@ -215,7 +195,7 @@ func main() {
 		}
 		fmt.Print(loadsim.Report(results))
 		if rec != nil {
-			if err := writeTraceFile(*tracePath, rec); err != nil {
+			if err := rec.WriteTraceFile(*tracePath); err != nil {
 				fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "ptmserve: trace written to %s (%d request chains)\n", *tracePath, len(rec.Requests()))
@@ -290,7 +270,7 @@ func main() {
 		mode = "adaptive"
 	}
 	fmt.Printf("ptmserve: serving on %s (%s/%s, %d shards, batch<=%d, %s)\n",
-		ln.Addr(), *algoName, domain, *shards, exec.Config().MaxBatch, mode)
+		ln.Addr(), *algoName, domain, exec.Config().Shards, exec.Config().MaxBatch, mode)
 	var tel *server.Telemetry
 	if *telemetry != "" {
 		tel, err = server.StartTelemetry(*telemetry, exec)
@@ -310,7 +290,7 @@ func main() {
 	// state; only then does the telemetry listener close — a scraper
 	// polling through the drain never sees a half-stopped plane.
 	if rec != nil {
-		if err := writeTraceFile(*tracePath, rec); err != nil {
+		if err := rec.WriteTraceFile(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "ptmserve: trace export: %v\n", err)
 		} else {
 			fmt.Printf("ptmserve: trace written to %s (%d request chains)\n", *tracePath, len(rec.Requests()))

@@ -16,9 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
@@ -39,12 +37,7 @@ func main() {
 	recoveryFlag := flag.Bool("recovery", false, "measure post-crash recovery time vs outstanding log size")
 	all := flag.Bool("all", false, "regenerate every table")
 	full := flag.Bool("full", false, "full paper scale instead of quick scale")
-	verbose := flag.Bool("v", false, "stream per-point progress")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; output is identical either way)")
-	useCache := flag.Bool("cache", false, "serve previously simulated points from -cachedir and store fresh ones")
-	cacheDir := flag.String("cachedir", "results/cache", "content-addressed result cache directory")
-	cacheInvalidate := flag.Bool("cache-invalidate", false, "drop every cached result first (implies -cache)")
-	shardSpec := flag.String("shard", "", "run only shard i of n (\"i/n\", 1-based) for CI splitting")
+	sweepOptions := runner.OptionFlags(flag.CommandLine)
 	flag.Parse()
 
 	p := harness.QuickParams()
@@ -58,33 +51,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := harness.SweepOptions{Jobs: *jobs}
-	if *useCache || *cacheInvalidate {
-		cache, err := runner.OpenCache(*cacheDir)
-		if err != nil {
-			fail(err)
-		}
-		if *cacheInvalidate {
-			if err := cache.Invalidate(); err != nil {
-				fail(err)
-			}
-		}
-		opts.Cache = cache
-	}
-	shard, err := runner.ParseShard(*shardSpec)
+	opts, err := sweepOptions(os.Stderr, nil)
 	if err != nil {
 		fail(err)
 	}
-	opts.Shard = shard
-	var w io.Writer
-	if *verbose {
-		w = os.Stderr
-	}
-	opts.Progress = runner.NewProgress(w, nil)
 	sweepRan := false
 
 	if *all || *table == 1 {
-		fig, err := harness.RunTable12Opts(core.OrecLazy, p, opts)
+		fig, err := harness.RunTable12(core.OrecLazy, p, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -95,7 +69,7 @@ func main() {
 		sweepRan = true
 	}
 	if *all || *table == 2 {
-		fig, err := harness.RunTable12Opts(core.OrecEager, p, opts)
+		fig, err := harness.RunTable12(core.OrecEager, p, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -106,7 +80,7 @@ func main() {
 		sweepRan = true
 	}
 	if *all || *table == 3 {
-		rows, err := harness.RunTable3Opts(p, opts)
+		rows, err := harness.RunTable3(p, opts)
 		if err != nil {
 			fail(err)
 		}

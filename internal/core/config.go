@@ -61,6 +61,17 @@ func (a Algo) String() string {
 	}
 }
 
+// ParseAlgo is String's inverse for the three named algorithms; ok is
+// false for any other spelling.
+func ParseAlgo(name string) (a Algo, ok bool) {
+	for _, a := range []Algo{OrecLazy, OrecEager, AlgoHTM} {
+		if a.String() == name {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
 // Medium selects where the persistent heap lives: NVM (AppDirect) or
 // a DRAM ramdisk (the paper's non-persistent "DRAM" baseline curves).
 type Medium int

@@ -32,7 +32,7 @@ func goldenCells() []Cell {
 func TestGoldenSweepCountersByteIdentical(t *testing.T) {
 	p := goldenParams()
 	p.Counters = true
-	fig, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells(), p, SweepOptions{Jobs: 1})
+	fig, err := RunPanel("Golden", TATPWorkload(), goldenCells(), p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +49,13 @@ func TestGoldenSweepCountersByteIdentical(t *testing.T) {
 // point is identical with and without the registry — not just the
 // rendered figure.
 func TestCountersOnOffEquality(t *testing.T) {
-	off, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells(), goldenParams(), SweepOptions{Jobs: 1})
+	off, err := RunPanel("Golden", TATPWorkload(), goldenCells(), goldenParams(), serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := goldenParams()
 	p.Counters = true
-	on, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells(), p, SweepOptions{Jobs: 1})
+	on, err := RunPanel("Golden", TATPWorkload(), goldenCells(), p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCountersOnOffEquality(t *testing.T) {
 func TestCounterSnapshotSanity(t *testing.T) {
 	p := goldenParams()
 	p.Counters = true
-	fig, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells()[:1], p, SweepOptions{Jobs: 1})
+	fig, err := RunPanel("Golden", TATPWorkload(), goldenCells()[:1], p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestADR32WriteAmpAndStall(t *testing.T) {
 	p.Counters = true
 	p.Threads = []int{32}
 	cells := []Cell{{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy}}
-	fig, err := RunPanelOpts("ADR32", TATPWorkload(), cells, p, SweepOptions{Jobs: 1})
+	fig, err := RunPanel("ADR32", TATPWorkload(), cells, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestADR32WriteAmpAndStall(t *testing.T) {
 func TestFigureReportArtifact(t *testing.T) {
 	p := goldenParams()
 	p.Counters = true
-	fig, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells(), p, SweepOptions{Jobs: 1})
+	fig, err := RunPanel("Golden", TATPWorkload(), goldenCells(), p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestFigureReportArtifact(t *testing.T) {
 func TestPrintCounters(t *testing.T) {
 	p := goldenParams()
 	p.Counters = true
-	fig, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells()[:1], p, SweepOptions{Jobs: 1})
+	fig, err := RunPanel("Golden", TATPWorkload(), goldenCells()[:1], p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestPrintCounters(t *testing.T) {
 		}
 	}
 	// Without counters the table renders nothing.
-	off, err := RunPanelOpts("Golden", TATPWorkload(), goldenCells()[:1], goldenParams(), SweepOptions{Jobs: 1})
+	off, err := RunPanel("Golden", TATPWorkload(), goldenCells()[:1], goldenParams(), serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

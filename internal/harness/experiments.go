@@ -148,14 +148,6 @@ type Figure struct {
 	Series   []Series
 }
 
-// RunPanel measures every (cell, thread-count) point of one panel
-// serially. Progress lines go to w (nil silences them). It is the
-// single-worker form of RunPanelOpts (sweep.go), which also takes a
-// result cache, a shard, and a worker count.
-func RunPanel(name string, mk WorkloadMaker, cells []Cell, p Params, w io.Writer) (Figure, error) {
-	return RunPanelOpts(name, mk, cells, p, serialOptions(w))
-}
-
 // Print renders the figure as an aligned text table (threads across,
 // throughput in kops/s), the form the repository's EXPERIMENTS.md
 // records.
@@ -314,12 +306,6 @@ func table12Maker() WorkloadMaker {
 	}}
 }
 
-// RunTable12 reproduces Table I (redo) or Table II (undo):
-// commits-per-abort for TPCC (Hash Table), serially.
-func RunTable12(algo core.Algo, p Params, w io.Writer) (Figure, error) {
-	return RunTable12Opts(algo, p, serialOptions(w))
-}
-
 // Table3Row is one cell of Table III: the throughput gain from
 // (incorrectly) removing fences from the ADR write instrumentation.
 type Table3Row struct {
@@ -350,13 +336,6 @@ func table3Makers() []WorkloadMaker {
 	}
 }
 
-// RunTable3 measures the fence-elision ablation at a low thread count
-// (the paper reports a latency snapshot; at saturation the WPQ-accept
-// wait would dominate and overstate the fence share), serially.
-func RunTable3(p Params, w io.Writer) ([]Table3Row, error) {
-	return RunTable3Opts(p, serialOptions(w))
-}
-
 // Fig8Point is one working-set measurement of Figure 8.
 type Fig8Point struct {
 	Items   int
@@ -376,11 +355,6 @@ var fig8Cells = []Cell{
 	{Medium: core.MediumNVM, Domain: durability.PDRAMLite, Algo: core.OrecLazy},
 }
 
-// Fig8Cells returns the Figure 8 curves.
-func Fig8Cells() []Cell {
-	return fig8Cells
-}
-
 // Fig8 capacity model (scaled ~1000x down from the paper's machine;
 // see EXPERIMENTS.md): a 256 KB L3 and a 4 MB DRAM page cache. The
 // item counts sweep the working set across both capacities, mirroring
@@ -396,12 +370,6 @@ func Fig8ItemCounts(small bool) []int {
 		return []int{128, 1024, 4096, 8192}
 	}
 	return []int{128, 1024, 2048, 3072, 4096, 6144, 8192}
-}
-
-// RunFig8 reproduces the memcached working-set study serially: one
-// worker thread, 50/50 get/set, throughput vs resident items.
-func RunFig8(p Params, w io.Writer) ([]Fig8Point, error) {
-	return RunFig8Opts(p, serialOptions(w))
 }
 
 // WriteFig8CSV emits the working-set sweep as CSV. Points sharded

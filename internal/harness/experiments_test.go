@@ -7,7 +7,11 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
+	"goptm/internal/runner"
 )
+
+// serialOpts runs a sweep on one worker with no cache, shard or progress.
+var serialOpts = runner.Options{Jobs: 1}
 
 // tinyParams keeps experiment-plumbing tests fast.
 func tinyParams() Params {
@@ -31,8 +35,8 @@ func TestCellSets(t *testing.T) {
 	if len(Fig67Cells()) != 6 {
 		t.Fatalf("Fig67Cells = %d, want 6", len(Fig67Cells()))
 	}
-	if len(Fig8Cells()) != 7 {
-		t.Fatalf("Fig8Cells = %d, want 7", len(Fig8Cells()))
+	if len(fig8Cells) != 7 {
+		t.Fatalf("Fig8Cells = %d, want 7", len(fig8Cells))
 	}
 	if len(TableIOrIICells(core.OrecLazy)) != 4 {
 		t.Fatal("TableIOrIICells != 4 rows")
@@ -60,7 +64,7 @@ func TestRunPanelProducesFigure(t *testing.T) {
 	fig, err := RunPanel("test", TATPWorkload(), []Cell{
 		{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy},
 		{Medium: core.MediumNVM, Domain: durability.EADR, Algo: core.OrecLazy},
-	}, p, nil)
+	}, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +93,7 @@ func TestRunPanelProducesFigure(t *testing.T) {
 
 func TestRunTable3ProducesRows(t *testing.T) {
 	p := tinyParams()
-	rows, err := RunTable3(p, nil)
+	rows, err := RunTable3(p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +112,7 @@ func TestRunFig8SmallSweep(t *testing.T) {
 		t.Skip("fig8 sweep in -short mode")
 	}
 	p := Params{WarmupNS: 100_000, MeasureNS: 300_000, Small: true}
-	points, err := RunFig8(p, nil)
+	points, err := RunFig8(p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +215,7 @@ func TestWriteCSV(t *testing.T) {
 	p := tinyParams()
 	fig, err := RunPanel("Figure X", TATPWorkload(), []Cell{
 		{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy},
-	}, p, nil)
+	}, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +237,14 @@ func TestWriteCSV(t *testing.T) {
 
 func TestRunTable12Smoke(t *testing.T) {
 	p := Params{Threads: []int{2}, WarmupNS: 100_000, MeasureNS: 300_000, Small: true}
-	fig, err := RunTable12(core.OrecLazy, p, nil)
+	fig, err := RunTable12(core.OrecLazy, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fig.Name != "Table I" || len(fig.Series) != 4 {
 		t.Fatalf("table shape: %s with %d series", fig.Name, len(fig.Series))
 	}
-	fig2, err := RunTable12(core.OrecEager, p, nil)
+	fig2, err := RunTable12(core.OrecEager, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +264,5 @@ func TestPanelWorkloadsConstructAtBothScales(t *testing.T) {
 	}
 	if len(Fig8ItemCounts(false)) <= len(Fig8ItemCounts(true)) {
 		t.Fatal("full Fig8 sweep not larger than quick sweep")
-	}
-	rc := DefaultRun(8)
-	if rc.Threads != 8 || rc.MeasureNS <= rc.WarmupNS {
-		t.Fatalf("DefaultRun = %+v", rc)
 	}
 }

@@ -29,7 +29,7 @@ func TestGoldenSweepByteIdentical(t *testing.T) {
 		{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy},
 		{Medium: core.MediumNVM, Domain: durability.EADR, Algo: core.OrecEager},
 	}
-	fig, err := RunPanelOpts("Golden", TATPWorkload(), cells, p, SweepOptions{Jobs: 1})
+	fig, err := RunPanel("Golden", TATPWorkload(), cells, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

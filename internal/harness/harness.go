@@ -73,16 +73,6 @@ type RunConfig struct {
 	Metrics *metrics.Registry
 }
 
-// DefaultRun returns the standard measurement parameters used by the
-// figure sweeps.
-func DefaultRun(threads int) RunConfig {
-	return RunConfig{
-		Threads:   threads,
-		WarmupNS:  2_000_000,  // 2 ms virtual
-		MeasureNS: 10_000_000, // 10 ms virtual
-	}
-}
-
 // Result is one measured cell.
 type Result struct {
 	Workload string

@@ -116,7 +116,7 @@ func TestFigureBreakdownTable(t *testing.T) {
 		{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy},
 		{Medium: core.MediumNVM, Domain: durability.EADR, Algo: core.OrecLazy},
 	}
-	fig, err := RunPanel("test", TATPWorkload(), cells, p, nil)
+	fig, err := RunPanel("test", TATPWorkload(), cells, p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestFigureBreakdownTable(t *testing.T) {
 	}
 	// Without Observe the table must be silent (no recorder attached).
 	p.Observe = false
-	fig2, err := RunPanel("test", TATPWorkload(), cells[:1], p, nil)
+	fig2, err := RunPanel("test", TATPWorkload(), cells[:1], p, serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

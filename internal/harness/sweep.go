@@ -10,7 +10,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
@@ -25,23 +24,6 @@ import (
 // workload generation — so stale cached results can never be mistaken
 // for current ones.
 const SimVersion = 1
-
-// SweepOptions configures how a sweep executes (not what it
-// measures — that stays in Params). The zero value is the serial,
-// uncached, unsharded path.
-type SweepOptions struct {
-	// Jobs bounds the worker pool; <= 0 selects GOMAXPROCS, 1 is serial.
-	Jobs int
-	// Cache, when non-nil, serves previously simulated points and
-	// stores fresh ones.
-	Cache *runner.Cache
-	// Shard restricts execution to this slice of the job list (CI
-	// splitting); skipped points render as "-".
-	Shard runner.Shard
-	// Progress receives per-cell completion lines and ETA (nil =
-	// silent).
-	Progress *runner.Progress
-}
 
 // seriesSamples is how many fixed-interval samples a counters-enabled
 // sweep cell records across its warmup + measurement window.
@@ -96,10 +78,11 @@ func panelJob(mk WorkloadMaker, cell Cell, n int, p Params) runner.Job[Result] {
 	}
 }
 
-// RunPanelOpts measures every (cell, thread-count) point of one panel
-// through the parallel engine. Skipped (sharded-away) points stay
-// zero Results and render as "-".
-func RunPanelOpts(name string, mk WorkloadMaker, cells []Cell, p Params, opts SweepOptions) (Figure, error) {
+// RunPanel measures every (cell, thread-count) point of one panel.
+// opts says how the sweep executes (workers, cache, shard, progress),
+// not what it measures — that stays in Params. Skipped (sharded-away)
+// points stay zero Results and render as "-".
+func RunPanel(name string, mk WorkloadMaker, cells []Cell, p Params, opts runner.Options) (Figure, error) {
 	fig := Figure{Name: name, Workload: mk.Name, Threads: p.Threads}
 	var jobs []runner.Job[Result]
 	for _, cell := range cells {
@@ -107,7 +90,7 @@ func RunPanelOpts(name string, mk WorkloadMaker, cells []Cell, p Params, opts Sw
 			jobs = append(jobs, panelJob(mk, cell, n, p))
 		}
 	}
-	outs, err := runner.Run(runnerOptions(opts), jobs)
+	outs, err := runner.Run(opts, jobs)
 	if err != nil {
 		return fig, fmt.Errorf("%s: %w", name, err)
 	}
@@ -123,20 +106,23 @@ func RunPanelOpts(name string, mk WorkloadMaker, cells []Cell, p Params, opts Sw
 	return fig, nil
 }
 
-// RunTable12Opts is RunTable12 through the parallel engine.
-func RunTable12Opts(algo core.Algo, p Params, opts SweepOptions) (Figure, error) {
+// RunTable12 reproduces Table I (redo) or Table II (undo):
+// commits-per-abort for TPCC (Hash Table).
+func RunTable12(algo core.Algo, p Params, opts runner.Options) (Figure, error) {
 	mk := table12Maker()
 	name := "Table I"
 	if algo == core.OrecEager {
 		name = "Table II"
 	}
-	return RunPanelOpts(name, mk, TableIOrIICells(algo), p, opts)
+	return RunPanel(name, mk, TableIOrIICells(algo), p, opts)
 }
 
-// RunTable3Opts is RunTable3 through the parallel engine. One job is
-// one table row (the base + no-fence measurement pair): the two runs
+// RunTable3 measures the fence-elision ablation at a low thread count
+// (the paper reports a latency snapshot; at saturation the WPQ-accept
+// wait would dominate and overstate the fence share). One job is one
+// table row (the base + no-fence measurement pair): the two runs
 // share a row, so splitting them would only reorder progress lines.
-func RunTable3Opts(p Params, opts SweepOptions) ([]Table3Row, error) {
+func RunTable3(p Params, opts runner.Options) ([]Table3Row, error) {
 	const threads = 2
 	var jobs []runner.Job[Table3Row]
 	for _, mk := range table3Makers() {
@@ -178,7 +164,7 @@ func RunTable3Opts(p Params, opts SweepOptions) ([]Table3Row, error) {
 			})
 		}
 	}
-	outs, err := runner.Run(runnerOptions(opts), jobs)
+	outs, err := runner.Run(opts, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("Table III: %w", err)
 	}
@@ -189,10 +175,11 @@ func RunTable3Opts(p Params, opts SweepOptions) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// RunFig8Opts is RunFig8 through the parallel engine: one job per
+// RunFig8 reproduces the memcached working-set study — one worker
+// thread, 50/50 get/set, throughput vs resident items — one job per
 // (working-set size, cell) point. Skipped points are absent from a
 // point's Results map and render as "-".
-func RunFig8Opts(p Params, opts SweepOptions) ([]Fig8Point, error) {
+func RunFig8(p Params, opts runner.Options) ([]Fig8Point, error) {
 	cells := fig8Cells
 	items := Fig8ItemCounts(p.Small)
 	var jobs []runner.Job[Result]
@@ -225,7 +212,7 @@ func RunFig8Opts(p Params, opts SweepOptions) ([]Fig8Point, error) {
 			})
 		}
 	}
-	outs, err := runner.Run(runnerOptions(opts), jobs)
+	outs, err := runner.Run(opts, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("Figure 8: %w", err)
 	}
@@ -246,15 +233,4 @@ func RunFig8Opts(p Params, opts SweepOptions) ([]Fig8Point, error) {
 		points = append(points, pt)
 	}
 	return points, nil
-}
-
-// runnerOptions translates SweepOptions to the runner's form.
-func runnerOptions(o SweepOptions) runner.Options {
-	return runner.Options{Jobs: o.Jobs, Shard: o.Shard, Cache: o.Cache, Progress: o.Progress}
-}
-
-// serialOptions wraps a legacy verbose writer in a Progress so the
-// io.Writer entry points keep printing per-point lines.
-func serialOptions(w io.Writer) SweepOptions {
-	return SweepOptions{Jobs: 1, Progress: runner.NewProgress(w, nil)}
 }

@@ -33,11 +33,11 @@ func TestSweepDeterminism(t *testing.T) {
 	mk := table12Maker()
 	cells := TableIOrIICells(core.OrecLazy)
 
-	serial, err := RunPanelOpts("Table I", mk, cells, p, SweepOptions{Jobs: 1})
+	serial, err := RunPanel("Table I", mk, cells, p, runner.Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPanelOpts("Table I", mk, cells, p, SweepOptions{Jobs: 4})
+	par, err := RunPanel("Table I", mk, cells, p, runner.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSweepCache(t *testing.T) {
 	cells := TableIOrIICells(core.OrecEager)
 
 	coldProg := runner.NewProgress(nil, nil)
-	cold, err := RunPanelOpts("Table II", mk, cells, p, SweepOptions{Jobs: 2, Cache: cache, Progress: coldProg})
+	cold, err := RunPanel("Table II", mk, cells, p, runner.Options{Jobs: 2, Cache: cache, Progress: coldProg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSweepCache(t *testing.T) {
 	}
 
 	warmProg := runner.NewProgress(nil, nil)
-	warm, err := RunPanelOpts("Table II", mk, cells, p, SweepOptions{Jobs: 2, Cache: cache, Progress: warmProg})
+	warm, err := RunPanel("Table II", mk, cells, p, runner.Options{Jobs: 2, Cache: cache, Progress: warmProg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSweepCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	postProg := runner.NewProgress(nil, nil)
-	if _, err := RunPanelOpts("Table II", mk, cells, p, SweepOptions{Jobs: 2, Cache: cache, Progress: postProg}); err != nil {
+	if _, err := RunPanel("Table II", mk, cells, p, runner.Options{Jobs: 2, Cache: cache, Progress: postProg}); err != nil {
 		t.Fatal(err)
 	}
 	if _, sim, hits, _ := postProg.Counts(); sim != len(cells)*len(p.Threads) || hits != 0 {
@@ -101,7 +101,7 @@ func TestSweepShardsPartitionFigure(t *testing.T) {
 	mk := table12Maker()
 	cells := TableIOrIICells(core.OrecLazy)
 
-	full, err := RunPanelOpts("Table I", mk, cells, p, SweepOptions{Jobs: 2})
+	full, err := RunPanel("Table I", mk, cells, p, runner.Options{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSweepShardsPartitionFigure(t *testing.T) {
 		merged.Series = append(merged.Series, Series{Cell: cell, Results: make([]Result, len(p.Threads))})
 	}
 	for shard := 0; shard < 2; shard++ {
-		fig, err := RunPanelOpts("Table I", mk, cells, p, SweepOptions{
+		fig, err := RunPanel("Table I", mk, cells, p, runner.Options{
 			Jobs: 2, Shard: runner.Shard{Index: shard, Count: 2},
 		})
 		if err != nil {
@@ -141,11 +141,11 @@ func TestFig8Determinism(t *testing.T) {
 		t.Skip("fig8 sweep in -short mode")
 	}
 	p := Params{Threads: []int{1}, WarmupNS: 50_000, MeasureNS: 200_000, Small: true}
-	serial, err := RunFig8Opts(p, SweepOptions{Jobs: 1})
+	serial, err := RunFig8(p, runner.Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFig8Opts(p, SweepOptions{Jobs: 4})
+	par, err := RunFig8(p, runner.Options{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

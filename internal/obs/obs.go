@@ -189,7 +189,8 @@ type Recorder struct {
 
 	mu       sync.Mutex
 	shared   []counterSample
-	requests []ReqRecord
+	requests []ReqRecord // ring of the newest maxRequests, see Request
+	oldest   int         // index of the oldest record once the ring is full
 }
 
 // New builds a recorder for threads workers. With trace set, all span,

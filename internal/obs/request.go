@@ -71,28 +71,42 @@ func (q *ReqRecord) Stamp(i int, ts int64) {
 	q.TS[i] = ts
 }
 
-// Request retains one completed request-lifecycle record. Safe on a
-// nil receiver and on recorders built without tracing (both no-op),
-// and safe for concurrent use — shard workers finish requests
-// concurrently on the TCP server.
+// maxRequests bounds the retained request records: a long-running
+// `ptmserve -trace` keeps the newest maxRequests and forgets the rest.
+// Every deterministic run in the repository (loadsim, the CI trace
+// step, the golden trace) samples fewer than this and so keeps every
+// chain.
+const maxRequests = 1 << 16
+
+// Request retains one completed request-lifecycle record, displacing
+// the oldest once maxRequests are held. Safe on a nil receiver and on
+// recorders built without tracing (both no-op), and safe for
+// concurrent use — shard workers finish requests concurrently on the
+// TCP server.
 func (r *Recorder) Request(rec ReqRecord) {
 	if r == nil || !r.tracing {
 		return
 	}
 	r.mu.Lock()
-	r.requests = append(r.requests, rec)
+	if len(r.requests) < maxRequests {
+		r.requests = append(r.requests, rec)
+	} else {
+		r.requests[r.oldest] = rec
+		r.oldest = (r.oldest + 1) % maxRequests
+	}
 	r.mu.Unlock()
 }
 
-// Requests returns a copy of the retained request records (tests and
-// report tooling; the trace exporter reads the slice directly).
+// Requests returns a copy of the retained request records, oldest
+// first (tests, report tooling and the trace exporter).
 func (r *Recorder) Requests() []ReqRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]ReqRecord, len(r.requests))
-	copy(out, r.requests)
+	out := make([]ReqRecord, 0, len(r.requests))
+	out = append(out, r.requests[r.oldest:]...)
+	out = append(out, r.requests[:r.oldest]...)
 	r.mu.Unlock()
 	return out
 }

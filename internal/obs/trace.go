@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 )
 
@@ -57,8 +58,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		}
 		r.mu.Lock()
 		shared := r.shared
-		requests := r.requests
 		r.mu.Unlock()
+		requests := r.Requests()
 		for _, c := range shared {
 			e.counter(c)
 		}
@@ -89,6 +90,20 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 		return e.err
 	}
 	return bw.Flush()
+}
+
+// WriteTraceFile creates (or truncates) path and writes the trace to
+// it, reporting the first create, write or close error.
+func (r *Recorder) WriteTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // traceEncoder streams trace-event objects, tracking the separator and

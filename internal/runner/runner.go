@@ -20,10 +20,14 @@
 package runner
 
 import (
+	"flag"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"goptm/internal/obs"
 )
 
 // Source says how a job's result was obtained.
@@ -88,6 +92,46 @@ type Options struct {
 	Cache *Cache
 	// Progress, when non-nil, receives per-cell completion reports.
 	Progress *Progress
+}
+
+// OptionFlags registers the sweep-execution flags ptmbench and
+// ptmtables share (-jobs, -cache, -cachedir, -cache-invalidate, -shard,
+// -v) on fs and returns the function that, once fs is parsed, turns
+// them into Options: it opens (and on -cache-invalidate empties) the
+// cache, parses the shard, and builds the Progress, whose per-cell
+// lines go to verbose only under -v and whose counter samples go to
+// rec (nil for none).
+func OptionFlags(fs *flag.FlagSet) func(verbose io.Writer, rec *obs.Recorder) (Options, error) {
+	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; output is identical either way)")
+	useCache := fs.Bool("cache", false, "serve previously simulated points from -cachedir and store fresh ones")
+	cacheDir := fs.String("cachedir", "results/cache", "content-addressed result cache directory")
+	invalidate := fs.Bool("cache-invalidate", false, "drop every cached result first (implies -cache)")
+	shardSpec := fs.String("shard", "", "run only shard i of n (\"i/n\", 1-based) for CI splitting")
+	v := fs.Bool("v", false, "stream per-point progress")
+	return func(verbose io.Writer, rec *obs.Recorder) (Options, error) {
+		opts := Options{Jobs: *jobs}
+		if *useCache || *invalidate {
+			cache, err := OpenCache(*cacheDir)
+			if err != nil {
+				return opts, err
+			}
+			if *invalidate {
+				if err := cache.Invalidate(); err != nil {
+					return opts, err
+				}
+			}
+			opts.Cache = cache
+		}
+		var err error
+		if opts.Shard, err = ParseShard(*shardSpec); err != nil {
+			return opts, err
+		}
+		if !*v {
+			verbose = nil
+		}
+		opts.Progress = NewProgress(verbose, rec)
+		return opts, nil
+	}
 }
 
 // Run executes the jobs across the pool and returns their outcomes in

@@ -2,9 +2,11 @@ package runner
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -289,5 +291,63 @@ func TestProgressLines(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "[1/2] a: 5 ops") || !strings.Contains(out, "[2/2] b: cached") {
 		t.Fatalf("progress output:\n%s", out)
+	}
+}
+
+// TestOptionFlags pins what ptmbench and ptmtables each used to spell
+// out inline: -cache-invalidate alone opens (and empties) the cache, a
+// bad -shard is an error, -v decides whether progress lines reach the
+// writer, and the defaults are the uncached, unsharded, all-CPUs pool.
+func TestOptionFlags(t *testing.T) {
+	parse := func(args ...string) (Options, *strings.Builder, error) {
+		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+		build := OptionFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("parse %v: %v", args, err)
+		}
+		var sb strings.Builder
+		opts, err := build(&sb, nil)
+		return opts, &sb, err
+	}
+
+	opts, sb, err := parse()
+	if err != nil || opts.Jobs != runtime.GOMAXPROCS(0) || opts.Cache != nil || opts.Shard != (Shard{}) {
+		t.Fatalf("defaults = %+v, %v", opts, err)
+	}
+	opts.Progress.Begin(1, 1000, 1)
+	opts.Progress.Done("a", Simulated, 1000, 1, "")
+	if sb.Len() != 0 {
+		t.Fatalf("progress lines without -v: %q", sb)
+	}
+
+	opts, sb, err = parse("-v", "-jobs", "3", "-shard", "2/4")
+	if err != nil || opts.Jobs != 3 || opts.Shard != (Shard{Index: 1, Count: 4}) {
+		t.Fatalf("-v -jobs 3 -shard 2/4 = %+v, %v", opts, err)
+	}
+	opts.Progress.Begin(1, 1000, 1)
+	opts.Progress.Done("a", Simulated, 1000, 1, "")
+	if !strings.Contains(sb.String(), "[1/1] a: simulated") {
+		t.Fatalf("-v progress output: %q", sb)
+	}
+
+	// A stale entry in the directory: -cache keeps it, -cache-invalidate
+	// (with no -cache) opens the same cache and drops it.
+	dir := filepath.Join(t.TempDir(), "cache")
+	seed, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Put(KeyJSON("k"), &fakeResult{Name: "stale"}); err != nil {
+		t.Fatal(err)
+	}
+	if opts, _, err = parse("-cache", "-cachedir", dir); err != nil || opts.Cache == nil || opts.Cache.Len() != 1 {
+		t.Fatalf("-cache: %+v, %v", opts, err)
+	}
+	if opts, _, err = parse("-cache-invalidate", "-cachedir", dir); err != nil || opts.Cache == nil || opts.Cache.Dir() != dir || opts.Cache.Len() != 0 {
+		t.Fatalf("-cache-invalidate alone: %+v, %v", opts, err)
+	}
+
+	if _, _, err := parse("-shard", "5/4"); err == nil {
+		t.Fatal("bad -shard accepted")
 	}
 }

@@ -164,7 +164,9 @@ type ExecConfig struct {
 const pollNS = 200
 
 func (c ExecConfig) withDefaults(st *Store) ExecConfig {
-	if c.Shards <= 0 {
+	if c.Shards <= 0 || c.Shards > st.cfg.Shards {
+		// The machine has this many shard threads, and a reopened
+		// image keeps the count it was created with.
 		c.Shards = st.cfg.Shards
 	}
 	if c.QueueDepth <= 0 {

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
+
+	"goptm/internal/runner"
 )
 
 // The offered-rate sweep is the experiment that justifies the adaptive
@@ -91,69 +92,61 @@ func ratioX100(num, den int64) int64 {
 	return num * 100 / den
 }
 
-// RunSweep executes the full rate × operating-point grid. Cells run
-// concurrently up to cfg.Jobs wide; assembly is by index, so the
-// result (and everything derived from it) is independent of execution
-// order — `-jobs 1` and `-jobs N` produce byte-identical artifacts.
+// RunSweep executes the full rate × operating-point grid on the sweep
+// engine (internal/runner): cells run concurrently up to cfg.Jobs wide
+// and come back in job order, so the result (and everything derived
+// from it) is independent of execution order — `-jobs 1` and `-jobs N`
+// produce byte-identical artifacts — and a failing sweep reports its
+// lowest-index failing cell.
 func RunSweep(cfg SweepConfig) (*Sweep, error) {
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 1
 	}
-	type cell struct {
-		row, col int // col 0 = adaptive, col i+1 = static i
-		cfg      Config
-		label    string
+	// Row-major, adaptive first: the order SweepRow is assembled in.
+	var jobs []runner.Job[CellResult]
+	add := func(label string, c Config) {
+		jobs = append(jobs, runner.Job[CellResult]{
+			Label: label,
+			Run: func() (CellResult, error) {
+				res, err := Run(c)
+				if err != nil {
+					return CellResult{}, fmt.Errorf("loadsim: rate %.0f %s: %w", c.Rate, label, err)
+				}
+				return CellResult{Label: label, Res: res}, nil
+			},
+		})
 	}
-	var cells []cell
-	for ri, rate := range cfg.Rates {
+	for _, rate := range cfg.Rates {
 		base := cfg.Base
 		base.Rate = rate
 		ad := base
 		ad.Adaptive = true
 		ad.MaxBatch = cfg.Start.MaxBatch
 		ad.BatchWindowNS = cfg.Start.WindowNS
-		cells = append(cells, cell{row: ri, col: 0, cfg: ad, label: "adaptive"})
-		for si, sp := range cfg.Statics {
+		add("adaptive", ad)
+		for _, sp := range cfg.Statics {
 			st := base
 			st.Adaptive = false
 			st.MaxBatch = sp.MaxBatch
 			st.BatchWindowNS = sp.WindowNS
-			cells = append(cells, cell{row: ri, col: si + 1, cfg: st, label: sp.String()})
+			add(sp.String(), st)
 		}
 	}
-
-	results := make([]CellResult, len(cells))
-	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Jobs)
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := Run(c.cfg)
-			results[i] = CellResult{Label: c.label, Res: res}
-			errs[i] = err
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	outs, err := runner.Run(runner.Options{Jobs: cfg.Jobs}, jobs)
+	if err != nil {
+		return nil, err
 	}
 
 	sw := &Sweep{Cfg: cfg, Rows: make([]SweepRow, len(cfg.Rates))}
+	i := 0
 	for ri, rate := range cfg.Rates {
-		sw.Rows[ri].Rate = rate
-		sw.Rows[ri].Statics = make([]CellResult, len(cfg.Statics))
-	}
-	for i, c := range cells {
-		if c.col == 0 {
-			sw.Rows[c.row].Adaptive = results[i]
-		} else {
-			sw.Rows[c.row].Statics[c.col-1] = results[i]
+		row := &sw.Rows[ri]
+		row.Rate = rate
+		row.Adaptive = outs[i].Value
+		i++
+		for range cfg.Statics {
+			row.Statics = append(row.Statics, outs[i].Value)
+			i++
 		}
 	}
 

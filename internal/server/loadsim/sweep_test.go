@@ -3,8 +3,11 @@ package loadsim
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"goptm/internal/core"
+	"goptm/internal/durability"
 	"goptm/internal/server"
 )
 
@@ -58,31 +61,48 @@ func TestAdaptiveGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossJobs: cell assembly is by index, so the
-// report and JSON artifact are identical at any concurrency level.
+// TestSweepDeterministicAcrossJobs: cells come back in job order, so
+// the report and JSON artifact are identical at any concurrency level
+// (0 selects 1), and a failing sweep names its lowest-index failing
+// cell however the workers interleave.
 func TestSweepDeterministicAcrossJobs(t *testing.T) {
 	scfg := SweepConfig{
 		Base:    adaptiveCfg(),
 		Rates:   []float64{1e6, 6e6},
 		Statics: []StaticPoint{{MaxBatch: 1, WindowNS: 2000}, {MaxBatch: 32, WindowNS: 16384}},
 		Start:   StaticPoint{MaxBatch: 8, WindowNS: 2000},
-		Jobs:    1,
 	}
-	a, err := RunSweep(scfg)
-	if err != nil {
-		t.Fatal(err)
+	var report string
+	var artifact []byte
+	for _, jobs := range []int{0, 1, 4} {
+		scfg.Jobs = jobs
+		sw, err := RunSweep(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report == "" {
+			report, artifact = SweepReport(sw), BenchJSON(sw)
+			continue
+		}
+		if got := SweepReport(sw); got != report {
+			t.Fatalf("sweep report diverged at -jobs %d:\n%s\nvs\n%s", jobs, got, report)
+		}
+		if !bytes.Equal(BenchJSON(sw), artifact) {
+			t.Fatalf("sweep JSON artifact diverged at -jobs %d", jobs)
+		}
 	}
-	scfg.Jobs = 6
-	b, err := RunSweep(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SweepReport(a) != SweepReport(b) {
-		t.Fatalf("sweep reports diverged across -jobs levels:\n%s\nvs\n%s",
-			SweepReport(a), SweepReport(b))
-	}
-	if !bytes.Equal(BenchJSON(a), BenchJSON(b)) {
-		t.Fatal("sweep JSON artifacts diverged across -jobs levels")
+
+	// HTM cannot run under ADR, so every cell of this sweep fails at
+	// once; the error must be the first cell's at every width.
+	scfg.Base.Algo, scfg.Base.Domain = core.AlgoHTM, durability.ADR
+	for _, jobs := range []int{1, 4} {
+		scfg.Jobs = jobs
+		for try := 0; try < 8; try++ {
+			_, err := RunSweep(scfg)
+			if err == nil || !strings.Contains(err.Error(), "rate 1000000 adaptive:") {
+				t.Fatalf("-jobs %d: error = %v, want the rate-1000000 adaptive cell's", jobs, err)
+			}
+		}
 	}
 }
 

@@ -123,6 +123,37 @@ func TestImageRoundTrip(t *testing.T) {
 	})
 }
 
+// TestExecutorClampsShardsToImage: an image remembers its shard count
+// (the machine has Shards+1 threads), so restarting it with a larger
+// -shards must serve on the image's count instead of reaching for
+// threads the machine does not have.
+func TestExecutorClampsShardsToImage(t *testing.T) {
+	st := testStore(t, StoreConfig{Shards: 2})
+	path := filepath.Join(t.TempDir(), "kv.img")
+	st.Crash(0)
+	if err := st.SaveImage(path); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenOrRecover(path, StoreConfig{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := NewExecutor(st2, ExecConfig{Shards: 4, DeadlineNS: -1})
+	defer exec.Drain()
+	if got := exec.Config().Shards; got != 2 {
+		t.Fatalf("executor shards = %d, want the image's 2", got)
+	}
+	for i := 0; i < 16; i++ { // enough keys to land on every shard
+		key := fmt.Appendf(nil, "key-%d", i)
+		if r := submit(t, exec, &Request{Op: OpSet, Key: key, Value: key}); r.Err != nil {
+			t.Fatalf("set %s: %v", key, r.Err)
+		}
+		if r := submit(t, exec, &Request{Op: OpGet, Key: key}); !r.Found || !bytes.Equal(r.Val, key) {
+			t.Fatalf("get %s = %q, found=%v", key, r.Val, r.Found)
+		}
+	}
+}
+
 // TestRecoveryMidBatch cuts the power inside an executor batch commit
 // and asserts durable linearizability across the image round trip:
 // everything acknowledged before the crash survives, and the cut

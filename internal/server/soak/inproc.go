@@ -33,14 +33,8 @@ func newInprocTarget(cfg Config) (*inprocTarget, error) {
 		return nil, fmt.Errorf("soak: inproc mode needs -image")
 	}
 	t := &inprocTarget{cfg: cfg}
-	switch cfg.Algo {
-	case "redo":
-		t.algo = core.OrecLazy
-	case "undo":
-		t.algo = core.OrecEager
-	case "htm":
-		t.algo = core.AlgoHTM
-	default:
+	var ok bool
+	if t.algo, ok = core.ParseAlgo(cfg.Algo); !ok {
 		return nil, fmt.Errorf("soak: unknown algo %q", cfg.Algo)
 	}
 	var err error
