@@ -32,24 +32,15 @@
 //	    batch size. Identical flags produce byte-identical output on
 //	    any machine — CI pins the bytes.
 //
-// Rate-sweep mode:
-//
-//	ptmserve -ratesweep 250000,1000000,6000000 -static 1:2000,32:16384
-//	    Race the adaptive group-commit controller against static
-//	    (batch, window) operating points across a ladder of offered
-//	    rates, printing the latency-knee table; -sweepjson writes the
-//	    BENCH_9 artifact CI compares byte-for-byte. -jobs runs sweep
-//	    cells concurrently with identical output at any level.
-//
 // Shared knobs: -algo redo|undo|htm, -domain ADR|eADR|..., -shards,
 // -maxbatch, -window (batch window ns), -deadline (shed deadline ns),
-// -queue (per-shard depth), -adaptive (the AIMD group-commit
-// controller; its bounds and gains are constants, see adaptiveCtrl).
+// -queue (per-shard depth). A batch is whatever is queued, up to
+// -maxbatch; nothing tunes the pair at run time.
 // Every number the server reports — memcached stats, -telemetry's
 // /metrics and /snapshot, the flight sidecar's samples — is a
 // rendering of one server.Snapshot. See docs/SERVING.md for the
-// protocol subset, the pipelined connection design, and the
-// controller.
+// protocol subset, the pipelined connection design, and why group
+// commit has no controller.
 package main
 
 import (
@@ -70,13 +61,6 @@ import (
 	"goptm/internal/server/loadsim"
 )
 
-// adaptiveCtrl bounds the -adaptive controller. Only the batch-cap
-// ceiling departs from CtrlConfig's defaults (cap floor 1, window 0 to
-// 16384 ns, evaluate every 8192 ns, +4 ops / +1024 ns per pressured
-// step): 32 is the ceiling results/BENCH_9.json was swept with, and
-// the store's log sizing clamps it further.
-var adaptiveCtrl = server.CtrlConfig{MaxBatch: 32}
-
 func main() {
 	listen := flag.String("listen", ":11211", "TCP listen address (server mode)")
 	image := flag.String("image", "", "NVM media image file: reopened on start if present, saved on shutdown")
@@ -90,8 +74,6 @@ func main() {
 	heapWords := flag.Uint64("heap", 0, "persistent heap words (0 = default 1<<21); smaller heaps make smaller images")
 	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and flush the journal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged")
 
-	adaptive := flag.Bool("adaptive", false, "drive each shard's (batch cap, window) with the AIMD group-commit controller; -maxbatch/-window become the starting point")
-
 	loadsimMode := flag.Bool("loadsim", false, "run the deterministic open-loop load simulator instead of serving TCP")
 	rate := flag.Float64("rate", 2e6, "loadsim: arrivals per virtual second")
 	requests := flag.Int("requests", 20000, "loadsim: arrivals to generate")
@@ -101,11 +83,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "loadsim: arrival-process seed")
 	warmup := flag.Int("warmup", 0, "loadsim: initial arrivals excluded from latency percentiles")
 	batches := flag.String("batches", "1,8", "loadsim: comma-separated batch sizes to sweep")
-
-	rateSweep := flag.String("ratesweep", "", "loadsim: comma-separated offered rates; sweep adaptive vs -static points across them and print the latency-knee table")
-	statics := flag.String("static", "1:2000,8:2000,32:16384", "ratesweep: static batch:windowNS operating points to race the controller against")
-	sweepJSON := flag.String("sweepjson", "", "ratesweep: also write the BENCH_9-style JSON artifact to this path")
-	jobs := flag.Int("jobs", 1, "ratesweep: concurrent sweep cells (each cell is an independent lockstep machine; output is identical at any -jobs)")
 
 	telemetry := flag.String("telemetry", "", "server mode: serve /metrics (Prometheus text), /snapshot (JSON), and /healthz on this loopback address; empty (the default) disables")
 	flightSize := flag.Int("flight", 4096, "server mode with -image: flight-recorder ring size, mirrored to <image>.flight for post-SIGKILL harvest; 0 disables")
@@ -126,44 +103,6 @@ func main() {
 	domain, err := durability.Parse(*domainName)
 	if err != nil {
 		fail(err)
-	}
-
-	if *rateSweep != "" {
-		rates, err := loadsim.ParseRates(*rateSweep)
-		if err != nil {
-			fail(err)
-		}
-		pts, err := loadsim.ParseStatics(*statics)
-		if err != nil {
-			fail(err)
-		}
-		window := *windowNS
-		if window < 0 {
-			window = 0
-		}
-		sw, err := loadsim.RunSweep(loadsim.SweepConfig{
-			Base: loadsim.Config{
-				Algo: algo, Domain: domain, Shards: *shards,
-				Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
-				Requests: *requests, Seed: *seed, Warmup: *warmup,
-				DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-				Ctrl: adaptiveCtrl,
-			},
-			Rates:   rates,
-			Statics: pts,
-			Start:   loadsim.StaticPoint{MaxBatch: *maxBatch, WindowNS: window},
-			Jobs:    *jobs,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(loadsim.SweepReport(sw))
-		if *sweepJSON != "" {
-			if err := os.WriteFile(*sweepJSON, loadsim.BenchJSON(sw), 0o644); err != nil {
-				fail(err)
-			}
-		}
-		return
 	}
 
 	if *loadsimMode {
@@ -187,7 +126,6 @@ func main() {
 			Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
 			Rate: *rate, Requests: *requests, Seed: *seed, Warmup: *warmup,
 			BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-			Adaptive: *adaptive, Ctrl: adaptiveCtrl,
 			Recorder: rec, TraceSample: *traceSample, TraceSeed: *traceSeed,
 		}, sizes)
 		if err != nil {
@@ -250,9 +188,8 @@ func main() {
 	exec := server.NewExecutor(st, server.ExecConfig{
 		Shards: *shards, QueueDepth: *queueDepth, MaxBatch: *maxBatch,
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
-		IdleSleep:  50 * time.Microsecond,
-		DurableAck: journaled,
-		Adaptive:   *adaptive, Ctrl: adaptiveCtrl,
+		IdleSleep:   50 * time.Microsecond,
+		DurableAck:  journaled,
 		TraceSample: *traceSample, TraceSeed: *traceSeed,
 		WallClock: true, TraceRecorder: rec,
 		Flight: fr,
@@ -265,12 +202,8 @@ func main() {
 		fail(err)
 	}
 	srv := server.Serve(st, exec, ln)
-	mode := "static"
-	if *adaptive {
-		mode = "adaptive"
-	}
-	fmt.Printf("ptmserve: serving on %s (%s/%s, %d shards, batch<=%d, %s)\n",
-		ln.Addr(), *algoName, domain, exec.Config().Shards, exec.Config().MaxBatch, mode)
+	fmt.Printf("ptmserve: serving on %s (%s/%s, %d shards, batch<=%d)\n",
+		ln.Addr(), *algoName, domain, exec.Config().Shards, exec.Config().MaxBatch)
 	var tel *server.Telemetry
 	if *telemetry != "" {
 		tel, err = server.StartTelemetry(*telemetry, exec)

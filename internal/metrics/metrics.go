@@ -81,14 +81,6 @@ const (
 	CtrSrvBatches
 	CtrSrvBatchedOps
 
-	// Adaptive group-commit controller (internal/server/controller.go):
-	// total step evaluations, and how many moved the operating point up
-	// (pressure: larger batch cap / longer window) or down (idle decay).
-	// Steps minus up minus down = holds.
-	CtrSrvCtrlSteps
-	CtrSrvCtrlUp
-	CtrSrvCtrlDown
-
 	NumCounters
 )
 
@@ -103,7 +95,6 @@ var counterNames = [NumCounters]string{
 	"media_bulk_write_lines", "media_bulk_read_lines",
 	"wpq_accepts", "wpq_stall_ns", "wpq_stall_events",
 	"srv_requests", "srv_shed", "srv_batches", "srv_batched_ops",
-	"srv_ctrl_steps", "srv_ctrl_up", "srv_ctrl_down",
 }
 
 // String names the counter.

@@ -77,8 +77,6 @@ const (
 	TrackMediaReadXP                 // cumulative 256 B XPLine media reads (metrics sampler)
 	TrackCommits                     // cumulative committed transactions (metrics sampler)
 	TrackServerQueue                 // queued requests across server executor shards
-	TrackServerBatchCap              // adaptive controller batch cap after a step (stepping shard's value)
-	TrackServerWindow                // adaptive controller group-commit window ns after a step
 	NumTracks
 )
 
@@ -88,7 +86,6 @@ var trackNames = [NumTracks]string{
 	"sweep_cells_done",
 	"media_write_xplines", "media_read_xplines", "commits_total",
 	"server_queue_depth",
-	"server_batch_cap", "server_window_ns",
 }
 
 // String names the counter track as the trace exporter does.

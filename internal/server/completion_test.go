@@ -21,8 +21,8 @@ import (
 
 // TestCompletionRecordEveryPath drives an executed batch, a pop-time
 // shed and a Drain sweep through one executor with every observer
-// attached — request tracer, flight ring, adaptive controller — on a
-// DurableAck store, and holds the completion record to its contract:
+// attached — request tracer, flight ring — on a DurableAck store, and
+// holds the completion record to its contract:
 // every completed request yields exactly one flight record and one
 // 8-boundary chain that telescopes to that record's latency, and no
 // Done closes before the journal flush returns.
@@ -45,7 +45,6 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 	// past the deadline between its enqueue stamp and its pop.
 	exec := NewExecutor(st, ExecConfig{
 		DeadlineNS: 100_000, IdleSleep: 20 * time.Microsecond, DurableAck: true,
-		Adaptive: true, Ctrl: CtrlConfig{Trace: true},
 		TraceSample: 1, TraceRecorder: rec, Flight: ring,
 	})
 	met := st.TM().Metrics()
@@ -131,10 +130,6 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 	await(stale)
 	if !stale.Shed {
 		t.Fatal("stale request executed; want pop-time shed")
-	}
-	// Run the controller past the interval the shed fell in.
-	for until := exec.LastVT() + 20_000; exec.LastVT() <= until; {
-		await(send(OpSet, "warm", 0))
 	}
 
 	// Drain sweep: kill the worker with a power failure inside the next
@@ -234,17 +229,8 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 		t.Fatalf("chain end-to-end times do not telescope to the flight latencies:\nchains %v\nflight %v", chainLat, flightLat)
 	}
 
-	// The controller consumed the same records: the one shed, and every
-	// executed request of the intervals it evaluated.
-	var ctrlSheds, ctrlOps int64
-	for _, step := range exec.shards[0].ctrl.trace {
-		ctrlSheds += step.Sheds
-		ctrlOps += step.Ops
-	}
+	// The shard stats consumed the same records.
 	snap := exec.Snapshot()
-	if ctrlSheds != 1 || ctrlOps == 0 || ctrlOps > snap.Executed() {
-		t.Fatalf("controller saw %d sheds / %d ops (executed %d), want 1 shed and some ops", ctrlSheds, ctrlOps, snap.Executed())
-	}
 	if got, want := snap.Executed(), int64(completed-1-len(swept)); got != want {
 		t.Fatalf("executed = %d, want %d", got, want)
 	}
@@ -254,14 +240,14 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 }
 
 // TestSnapshotRenderingsAgree takes ONE Snapshot of an executor that
-// has served traffic (sheds and controller steps included) and checks
-// that its three renderings — memcached stats, Prometheus text, JSON —
+// has served traffic (sheds included) and checks that its three
+// renderings — memcached stats, Prometheus text, JSON —
 // agree on every counter they share and on every per-shard gauge.
 func TestSnapshotRenderingsAgree(t *testing.T) {
 	st := testStore(t, StoreConfig{Shards: 2})
 	// IdleSleep: virtual time must crawl relative to host time, or an
 	// honest arrival could age past the deadline before its pop.
-	exec := NewExecutor(st, ExecConfig{DeadlineNS: 50_000, IdleSleep: 20 * time.Microsecond, Adaptive: true})
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: 50_000, IdleSleep: 20 * time.Microsecond})
 	for _, s := range exec.shards {
 		for s.lastVT.Load() == 0 { // Submit stamps from the published clock
 			time.Sleep(time.Millisecond)
@@ -323,10 +309,9 @@ func TestSnapshotRenderingsAgree(t *testing.T) {
 			t.Errorf("counter %s: JSON %d, Prometheus %d (present %v)", name, v, got, ok)
 		}
 	}
-	// The ten the stats reply shares with them, by its own key names.
+	// The six the stats reply shares with them, by its own key names.
 	for key, name := range map[string]string{
 		"batched_ops_total": "srv_batched_ops", "batches_total": "srv_batches", "cmd_total": "srv_requests",
-		"ctrl_steps": "srv_ctrl_steps", "ctrl_steps_down": "srv_ctrl_down", "ctrl_steps_up": "srv_ctrl_up",
 		"shed_total": "srv_shed", "txn_aborts": "aborts", "txn_commits": "commits",
 	} {
 		want, ok := doc.Counters[name]
@@ -337,12 +322,12 @@ func TestSnapshotRenderingsAgree(t *testing.T) {
 	if stat["queue_depth"] != doc.QueueDepth || prom["goptm_srv_queue_depth"] != doc.QueueDepth {
 		t.Errorf("queue depth: stats %d, Prometheus %d, JSON %d", stat["queue_depth"], prom["goptm_srv_queue_depth"], doc.QueueDepth)
 	}
-	// Per-shard gauges, all five, all three renderings.
+	// Per-shard gauges, both, all three renderings.
 	if len(doc.Shards) != 2 {
 		t.Fatalf("JSON has %d shards, want 2", len(doc.Shards))
 	}
 	for i, sh := range doc.Shards {
-		for _, g := range []string{"batch_cap", "ctrl_steps", "queue_depth", "shed", "window_ns"} {
+		for _, g := range []string{"queue_depth", "shed"} {
 			want, ok := sh[g]
 			s, sok := stat[fmt.Sprintf("shard%d_%s", i, g)]
 			p, pok := prom[fmt.Sprintf("goptm_srv_shard_%s{shard=\"%d\"}", g, i)]
@@ -352,8 +337,7 @@ func TestSnapshotRenderingsAgree(t *testing.T) {
 		}
 	}
 	// None of that may be vacuous 0 == 0.
-	if stat["cmd_total"] < 64 || stat["ctrl_steps"] == 0 || stat["shard0_shed"] != 1 || stat["shard1_shed"] != 3 ||
-		stat["shard0_batch_cap"] == 0 || stat["txn_commits"] == 0 {
+	if stat["cmd_total"] < 64 || stat["shard0_shed"] != 1 || stat["shard1_shed"] != 3 || stat["txn_commits"] == 0 {
 		t.Fatalf("traffic left the gauges empty: %v", stat)
 	}
 }

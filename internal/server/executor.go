@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync"
@@ -27,9 +25,10 @@ import (
 // keeps batches full and p99 latency drops; at low load the window
 // expires with a batch of one and latency is unchanged. Shards
 // partition the keyspace by key hash so batches never conflict and
-// commit in parallel. With Adaptive set, each shard's (cap, window)
-// pair is driven by the AIMD controller in controller.go instead of
-// staying pinned at the configured values.
+// commit in parallel. There is no feedback controller on (MaxBatch,
+// BatchWindowNS): a batch is whatever is queued, up to the cap, so the
+// queue itself tracks the load (docs/SERVING.md, "Why there is no
+// controller", has the ablation).
 
 // Op identifies one KV operation.
 type Op uint8
@@ -98,14 +97,11 @@ type ExecConfig struct {
 	Shards     int // worker shards; thread i+1 of the machine drives shard i
 	QueueDepth int // per-shard bounded queue; 0 selects 256
 	// MaxBatch caps ops coalesced into one transaction; 0 selects the
-	// store's MaxBatch. 1 disables coalescing (the baseline). Under
-	// Adaptive it is the starting batch cap, and is raised to the
-	// controller's upper bound for slice sizing.
+	// store's MaxBatch. 1 disables coalescing (the baseline).
 	MaxBatch int
 	// BatchWindowNS is how long a shard waits, in virtual ns, to fill
 	// a batch after its first request; 0 selects 2000 (2 µs).
 	// Negative disables the wait (batch = whatever is queued now).
-	// Under Adaptive it is the starting window.
 	BatchWindowNS int64
 	// DeadlineNS sheds requests older than this at pop time — before
 	// they consume a batch slot; 0 selects 1_000_000 (1 ms). Negative
@@ -124,12 +120,6 @@ type ExecConfig struct {
 	// Off by default: the barrier adds drain waits to the virtual
 	// timeline, which would shift loadsim's pinned latency curves.
 	DurableAck bool
-	// Adaptive hands each shard's (batch cap, window) pair to the
-	// per-shard AIMD controller (controller.go), bounded and paced by
-	// Ctrl. MaxBatch/BatchWindowNS become the starting operating
-	// point.
-	Adaptive bool
-	Ctrl     CtrlConfig
 
 	// TraceSample enables request-lifecycle tracing: ~1 in TraceSample
 	// submitted requests is stamped through the parse→queue→batch→
@@ -152,11 +142,6 @@ type ExecConfig struct {
 	// Flight, when non-nil, receives a FlightRecord for every request
 	// completion (executed, shed, or swept at drain).
 	Flight *FlightRecorder
-
-	// The static operating point before Adaptive raised MaxBatch to
-	// the controller bound — the controller's start values.
-	startCap    int
-	startWindow int64
 }
 
 // pollNS is the idle poll quantum in virtual ns: how far a shard with
@@ -184,17 +169,6 @@ func (c ExecConfig) withDefaults(st *Store) ExecConfig {
 	if c.DeadlineNS == 0 {
 		c.DeadlineNS = 1_000_000
 	}
-	if c.Adaptive {
-		c.startCap = c.MaxBatch
-		c.startWindow = c.BatchWindowNS // newCtrl clamps it into the window bounds
-		c.Ctrl = c.Ctrl.withDefaults(c.MaxBatch)
-		if c.Ctrl.MaxBatch > st.cfg.MaxBatch {
-			c.Ctrl.MaxBatch = st.cfg.MaxBatch // log sizing bounds the cap too
-		}
-		if c.MaxBatch < c.Ctrl.MaxBatch {
-			c.MaxBatch = c.Ctrl.MaxBatch // slice capacity for the largest batch
-		}
-	}
 	return c
 }
 
@@ -207,8 +181,6 @@ type shard struct {
 	head  int
 
 	lastVT atomic.Int64 // the shard thread's clock, for Submit stamping
-
-	ctrl *ctrl // adaptive (cap, window) controller; nil when static
 
 	// Per-shard scratch, so the completion path never allocates: the
 	// record being built or fanned out, and the requests a pop shed.
@@ -237,8 +209,8 @@ const (
 // completion is the one record every finished group of requests
 // produces — an executed batch, the requests one pop shed, or Drain's
 // leftover sweep — and the only thing the observers (shard stats,
-// request tracer, flight ring, controller, metrics) ever see. The
-// per-request shed/err flags ride on the members themselves.
+// request tracer, flight ring, metrics) ever see. The per-request
+// shed/err flags ride on the members themselves.
 type completion struct {
 	kind    batchKind
 	shard   int
@@ -251,7 +223,6 @@ type completion struct {
 	closed, ran, drained, flushed int64
 	end                           int64 // shard virtual clock at completion
 	barrierNS                     int64 // durable-ack barrier host time; 0 when none ran
-	worst                         int64 // largest enqueue→end latency among members
 }
 
 // Executor shards the store's keyspace and drains each shard's queue
@@ -292,9 +263,6 @@ func NewExecutor(st *Store, cfg ExecConfig) *Executor {
 	e.wg.Add(cfg.Shards)
 	for i := range e.shards {
 		s := &shard{id: i}
-		if cfg.Adaptive {
-			s.ctrl = newCtrl(cfg.Ctrl, cfg.startCap, cfg.startWindow, cfg.DeadlineNS)
-		}
 		e.shards[i] = s
 		// Attach here, in shard order, not in the worker goroutines:
 		// under lockstep the engine's turn order follows attachment
@@ -361,12 +329,10 @@ func (e *Executor) clock(vt int64) int64 { return e.tracer.now(vt) }
 // up to max live ones, shedding any that aged past deadline *at pop
 // time* — an expired request completes as shed right here (one
 // batchShed record per pop) and never consumes a batch slot. It
-// appends the live requests to *out and reports the backlog observed
-// before popping (the controller's queue-depth signal).
-func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Request) (backlog int) {
+// appends the live requests to *out.
+func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Request) {
 	shed, live := s.shedBuf[:0], 0
 	s.mu.Lock()
-	backlog = len(s.queue) - s.head
 	for s.head < len(s.queue) && live < max {
 		req := s.queue[s.head]
 		s.head++
@@ -395,14 +361,12 @@ func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Reque
 	if len(shed) > 0 {
 		e.complete(s, e.begin(s, batchShed, shed, now))
 	}
-	return backlog
 }
 
 // runShard is one shard worker: poll, assemble a batch (shedding the
-// overdue at pop time), execute the live requests in one transaction,
-// and let the controller re-evaluate the operating point. It must
-// keep moving virtual time (Compute) whenever idle so the other
-// threads of the windowed engine never wait on it.
+// overdue at pop time), and execute the live requests in one
+// transaction. It must keep moving virtual time (Compute) whenever idle
+// so the other threads of the windowed engine never wait on it.
 func (e *Executor) runShard(s *shard, th *core.Thread) {
 	defer e.wg.Done()
 	defer th.Detach()
@@ -423,28 +387,20 @@ func (e *Executor) runShard(s *shard, th *core.Thread) {
 	batch := make([]*Request, 0, e.cfg.MaxBatch)
 	for {
 		s.lastVT.Store(th.Now())
-		cap, window := e.cfg.MaxBatch, e.cfg.BatchWindowNS
-		if s.ctrl != nil {
-			cap, window = s.ctrl.params()
-		}
 		batch = batch[:0]
-		backlog := s.popLive(e, cap, th.Now(), e.cfg.DeadlineNS, &batch)
-		if s.ctrl != nil {
-			s.ctrl.observePop(backlog)
-		}
+		s.popLive(e, e.cfg.MaxBatch, th.Now(), e.cfg.DeadlineNS, &batch)
 		switch {
 		case len(batch) > 0:
 			// Group commit: wait out the batch window for stragglers.
-			deadline := th.Now() + window
-			for len(batch) < cap && th.Now() < deadline {
+			deadline := th.Now() + e.cfg.BatchWindowNS
+			for len(batch) < e.cfg.MaxBatch && th.Now() < deadline {
 				before := len(batch)
-				s.popLive(e, cap-len(batch), th.Now(), e.cfg.DeadlineNS, &batch)
+				s.popLive(e, e.cfg.MaxBatch-len(batch), th.Now(), e.cfg.DeadlineNS, &batch)
 				if len(batch) == before {
 					th.Compute(pollNS)
 				}
 			}
 		case !e.inputsDone.Load():
-			e.ctrlStep(s, th)
 			th.Compute(pollNS)
 			if e.cfg.IdleSleep > 0 {
 				time.Sleep(e.cfg.IdleSleep)
@@ -457,37 +413,13 @@ func (e *Executor) runShard(s *shard, th *core.Thread) {
 			// The load happens-after any Submit that preceded InputsDone,
 			// so one final pop is guaranteed to see such a request; only
 			// an empty queue here is safe to abandon.
-			s.popLive(e, cap, th.Now(), e.cfg.DeadlineNS, &batch)
+			s.popLive(e, e.cfg.MaxBatch, th.Now(), e.cfg.DeadlineNS, &batch)
 			if len(batch) == 0 {
 				return
 			}
 		}
 		e.execBatch(s, th, batch)
-		e.ctrlStep(s, th)
 	}
-}
-
-// ctrlStep lets the shard's controller evaluate, and mirrors the step
-// into the metrics registry and the obs counter tracks. Pure
-// accounting: no virtual time moves here.
-func (e *Executor) ctrlStep(s *shard, th *core.Thread) {
-	if s.ctrl == nil {
-		return
-	}
-	stepped, dir := s.ctrl.maybeStep(th.Now())
-	if !stepped {
-		return
-	}
-	e.met.Add(metrics.CtrSrvCtrlSteps, 1)
-	switch {
-	case dir > 0:
-		e.met.Add(metrics.CtrSrvCtrlUp, 1)
-	case dir < 0:
-		e.met.Add(metrics.CtrSrvCtrlDown, 1)
-	}
-	cap, window := s.ctrl.params()
-	e.rec.CountShared(obs.TrackServerBatchCap, th.Now(), float64(cap))
-	e.rec.CountShared(obs.TrackServerWindow, th.Now(), float64(window))
 }
 
 // execBatch is the paper's serving order and nothing else: run the
@@ -558,13 +490,9 @@ func (e *Executor) begin(s *shard, kind batchKind, members []*Request, now int64
 // one call — and only then releases the members to their submitters.
 // Nothing here advances a simulated clock or allocates.
 func (e *Executor) complete(s *shard, d *completion) {
-	for _, req := range d.members {
-		d.worst = max(d.worst, d.end-req.EnqVT)
-	}
 	e.account(s, d)
 	e.tracer.observe(d)
 	e.cfg.Flight.observe(d)
-	s.ctrl.observe(d)
 	for _, req := range d.members {
 		if req.Done != nil {
 			close(req.Done)
@@ -608,23 +536,6 @@ func (e *Executor) LastVT() (vt int64) {
 		vt = max(vt, s.lastVT.Load())
 	}
 	return vt
-}
-
-// CtrlTraceFNV folds every shard's controller trace (empty unless
-// Ctrl.Trace was set), in shard order, into one hash — the determinism
-// fingerprint loadsim pins. Call only when the workers are quiescent.
-func (e *Executor) CtrlTraceFNV() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, s := range e.shards {
-		var trace []CtrlStep
-		if s.ctrl != nil {
-			trace = s.ctrl.trace
-		}
-		binary.LittleEndian.PutUint64(b[:], TraceFNV(trace))
-		h.Write(b[:])
-	}
-	return h.Sum64()
 }
 
 // InputsDone tells the workers no further Submit will arrive; each

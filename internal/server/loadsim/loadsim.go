@@ -22,7 +22,6 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
-	"goptm/internal/metrics"
 	"goptm/internal/obs"
 	"goptm/internal/server"
 	"goptm/internal/simtime"
@@ -49,17 +48,9 @@ type Config struct {
 	DeadlineNS    int64 // shedding deadline; 0 selects 1ms
 	QueueDepth    int   // per-shard queue; 0 selects 256
 
-	// Adaptive hands each shard's (cap, window) to the AIMD controller,
-	// with MaxBatch/BatchWindowNS as the starting operating point and
-	// Ctrl supplying bounds and gains. The controller trace is always
-	// retained so the run's CtrlTraceFNV fingerprint can be pinned.
-	Adaptive bool
-	Ctrl     server.CtrlConfig
-
 	// Warmup marks the first N arrivals warmup: they execute and count
-	// as executed, but stay out of the latency percentiles, so an
-	// adaptive run's convergence ramp does not pollute its steady-state
-	// p99. Applied identically to static runs for a fair comparison.
+	// as executed, but stay out of the latency percentiles, so the
+	// ramp from an empty queue does not pollute the steady-state p99.
 	Warmup int
 
 	// Recorder, when tracing, receives the machine's spans and counter
@@ -116,24 +107,17 @@ type Result struct {
 	ElapsedNS           int64   // virtual time from first arrival to drain
 	Throughput          float64 // executed requests per virtual second
 
-	CtrlSteps    int64  // controller evaluations across shards (0 when static)
-	CtrlTraceFNV uint64 // determinism fingerprint of the controller traces
-
 	Latency stats.Histogram
 }
 
 // Run executes one deterministic open-loop experiment.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	logBound := max(cfg.MaxBatch, 8) // size the log for the largest sweep point
-	if cfg.Adaptive && cfg.Ctrl.MaxBatch > logBound {
-		logBound = cfg.Ctrl.MaxBatch // the controller may grow batches to its bound
-	}
 	st, err := server.Open(server.StoreConfig{
 		Algo:     cfg.Algo,
 		Domain:   cfg.Domain,
 		Shards:   cfg.Shards,
-		MaxBatch: logBound,
+		MaxBatch: max(cfg.MaxBatch, 8), // size the log for the largest sweep point
 		Lockstep: true,
 		Recorder: cfg.Recorder,
 	})
@@ -159,16 +143,12 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 
-	ctrl := cfg.Ctrl
-	ctrl.Trace = true
 	exec := server.NewExecutor(st, server.ExecConfig{
 		Shards:        cfg.Shards,
 		QueueDepth:    cfg.QueueDepth,
 		MaxBatch:      cfg.MaxBatch,
 		BatchWindowNS: cfg.BatchWindowNS,
 		DeadlineNS:    cfg.DeadlineNS,
-		Adaptive:      cfg.Adaptive,
-		Ctrl:          ctrl,
 		TraceSample:   cfg.TraceSample,
 		TraceSeed:     cfg.TraceSeed,
 	})
@@ -213,20 +193,16 @@ func Run(cfg Config) (Result, error) {
 
 	snap := exec.Snapshot()
 	res := Result{
-		Cfg:       cfg,
-		Executed:  snap.Executed(),
-		Shed:      snap.Shed(),
-		Rejected:  rejected,
-		P50:       snap.Latency.P50(),
-		P90:       snap.Latency.P90(),
-		P99:       snap.Latency.P99(),
-		P999:      snap.Latency.P999(),
-		Batches:   snap.BatchSizes.Count(),
-		CtrlSteps: snap.Counter(metrics.CtrSrvCtrlSteps),
-		Latency:   *snap.Latency,
-	}
-	if cfg.Adaptive {
-		res.CtrlTraceFNV = exec.CtrlTraceFNV()
+		Cfg:      cfg,
+		Executed: snap.Executed(),
+		Shed:     snap.Shed(),
+		Rejected: rejected,
+		P50:      snap.Latency.P50(),
+		P90:      snap.Latency.P90(),
+		P99:      snap.Latency.P99(),
+		P999:     snap.Latency.P999(),
+		Batches:  snap.BatchSizes.Count(),
+		Latency:  *snap.Latency,
 	}
 	if res.Batches > 0 {
 		res.MeanBatch = float64(res.Executed) / float64(res.Batches)

@@ -87,3 +87,30 @@ func TestBatchingReducesTailLatency(t *testing.T) {
 			batched.P99, unbatched.P99)
 	}
 }
+
+// TestWindowlessCapMatchesOrBeatsWindowed is the finding the executor's
+// lack of a batching controller rests on (docs/SERVING.md, "Why there
+// is no controller"): past the knee, a large cap with no window — a
+// batch is whatever is queued — is no worse than the tuned windowed
+// point, and group commit still halves the unbatched tail.
+func TestWindowlessCapMatchesOrBeatsWindowed(t *testing.T) {
+	run := func(maxBatch int, windowNS int64) Result {
+		t.Helper()
+		res, err := Run(Config{
+			Rate: 6e6, Requests: 8000, Warmup: 1000, QueueDepth: 1024,
+			MaxBatch: maxBatch, BatchWindowNS: windowNS,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	windowless, windowed, unbatched := run(32, -1), run(8, 2000), run(1, 2000)
+	if windowless.P99 > windowed.P99 {
+		t.Fatalf("cap 32 without a window lost to cap 8 with one: p99 %d > %d", windowless.P99, windowed.P99)
+	}
+	if 2*windowless.P99 > unbatched.P99 {
+		t.Fatalf("group commit stopped paying: cap 32 p99 %d is not under half of cap 1 p99 %d",
+			windowless.P99, unbatched.P99)
+	}
+}

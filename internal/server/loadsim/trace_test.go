@@ -132,33 +132,25 @@ func TestTraceSamplingDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceServerCounterTracks covers the serving-layer counter tracks
-// (queue depth, controller cap and window): they must appear in an
-// exported adaptive-run trace, and on a single shard — where one
-// worker emits every sample — each track's timestamps must be
+// TestTraceServerCounterTracks covers the serving-layer counter track
+// (queue depth): it must appear in an exported trace, and on a single
+// shard — where one worker emits every sample — its timestamps must be
 // monotone.
 func TestTraceServerCounterTracks(t *testing.T) {
-	cfg := Config{
-		Shards: 1, Requests: 3000, Rate: 6e6, Seed: 9, Adaptive: true,
-	}
-	_, _, doc := runTraced(t, cfg)
-	tracks := map[string][]float64{}
+	_, _, doc := runTraced(t, Config{Shards: 1, Requests: 3000, Rate: 6e6, Seed: 9})
+	const name = "server_queue_depth"
+	var ts []float64
 	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "C" {
-			tracks[ev.Name] = append(tracks[ev.Name], ev.Ts)
+		if ev.Ph == "C" && ev.Name == name {
+			ts = append(ts, ev.Ts)
 		}
 	}
-	for _, name := range []string{"server_queue_depth", "server_batch_cap", "server_window_ns"} {
-		ts := tracks[name]
-		if len(ts) == 0 {
-			t.Errorf("counter track %q missing from the trace (have %d tracks)", name, len(tracks))
-			continue
-		}
-		for i := 1; i < len(ts); i++ {
-			if ts[i] < ts[i-1] {
-				t.Errorf("track %q timestamps regress at %d: %f < %f", name, i, ts[i], ts[i-1])
-				break
-			}
+	if len(ts) == 0 {
+		t.Fatalf("counter track %q missing from the trace", name)
+	}
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			t.Fatalf("track %q timestamps regress at %d: %f < %f", name, i, ts[i], ts[i-1])
 		}
 	}
 }

@@ -147,6 +147,34 @@ func TestPipelineMultiGetOrder(t *testing.T) {
 	expectLine(t, r, "END")
 }
 
+// TestPipelineIncrNoreply: incr honours noreply like set and delete. A
+// burst of noreply incrs writes nothing to the response stream, so the
+// get behind it reads exactly one VALUE ... END with the summed value
+// and the reply after that is still in step.
+func TestPipelineIncrNoreply(t *testing.T) {
+	_, _, conn, r := pipeServer(t,
+		StoreConfig{Shards: 2},
+		ExecConfig{DeadlineNS: -1})
+
+	var burst bytes.Buffer
+	burst.WriteString("set ctr 0 0 1\r\n5\r\n")
+	for i := 0; i < 20; i++ {
+		burst.WriteString("incr ctr 3 noreply\r\n")
+	}
+	burst.WriteString("get ctr\r\n")
+	burst.WriteString("incr ctr 1\r\n")
+	if _, err := conn.Write(burst.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"STORED",
+		"VALUE ctr 0 2", "65", "END",
+		"66",
+	} {
+		expectLine(t, r, want)
+	}
+}
+
 // TestPipelineMalformedMidStream pipelines a garbage command between
 // valid ones: the bad command answers ERROR in order and the stream
 // stays parseable for everything queued behind it.

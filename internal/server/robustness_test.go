@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -315,11 +316,22 @@ func TestMalformedProtocolInput(t *testing.T) {
 	addr, shutdown := startTestServer(t)
 	defer shutdown()
 
+	// The longest legal command line: a multi-get of 32 maximum-length
+	// keys plus one that pads the line, CRLF included, to exactly
+	// maxLineBytes. The first key is stored, the rest miss.
+	longKey := fmt.Sprintf("%0250d", 0)
+	longGet := "get"
+	for i := 0; i < 32; i++ {
+		longGet += fmt.Sprintf(" %0250d", i)
+	}
+	longGet += " " + strings.Repeat("p", maxLineBytes-len(longGet)-3) + "\r\n"
+
 	cases := []struct {
-		name  string
-		send  string
-		want  []string // response lines expected in order; nil = none
-		fatal bool     // connection is expected to drop
+		name   string
+		send   string
+		want   []string // response lines expected in order; nil = none
+		fatal  bool     // connection is expected to drop
+		closed bool     // ... by the server: EOF follows the last reply
 	}{
 		{name: "whitespace only line", send: "   \r\n", want: []string{"ERROR"}},
 		{name: "empty command", send: "\r\n", want: nil},
@@ -357,6 +369,19 @@ func TestMalformedProtocolInput(t *testing.T) {
 			want: []string{"STORED", "ERROR", "VALUE p1 0 1", "a", "END"},
 		},
 		{name: "quit with extra args", send: "quit now\r\n", want: nil, fatal: true},
+		{
+			// No newline within the bound: answered and dropped, not
+			// buffered until the client runs out of bytes.
+			name:  "line too long",
+			send:  strings.Repeat("a", maxLineBytes),
+			want:  []string{"CLIENT_ERROR line too long"},
+			fatal: true, closed: true,
+		},
+		{
+			name: "longest legal line",
+			send: "set " + longKey + " 0 0 1\r\nv\r\n" + longGet,
+			want: []string{"STORED", "VALUE " + longKey + " 0 1", "v", "END"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -377,6 +402,11 @@ func TestMalformedProtocolInput(t *testing.T) {
 				}
 				if got := strings.TrimRight(line, "\r\n"); got != want {
 					t.Fatalf("got %q, want %q", got, want)
+				}
+			}
+			if tc.closed {
+				if _, err := r.ReadByte(); err != io.EOF {
+					t.Fatalf("after %q: err = %v, want the server to close", tc.name, err)
 				}
 			}
 			if !tc.fatal {

@@ -17,8 +17,7 @@
 //     by batch size and a virtual-time window, with per-request
 //     deadlines and load shedding for graceful degradation. Every
 //     finished batch leaves one completion record that the stats, the
-//     tracer (trace.go), the flight ring (flight.go) and the adaptive
-//     controller (controller.go) consume.
+//     tracer (trace.go) and the flight ring (flight.go) consume.
 //   - Snapshot (snapshot.go) — the one point-in-time view of all of
 //     it, rendered as memcached stats, Prometheus text (telemetry.go)
 //     and JSON.

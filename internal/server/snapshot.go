@@ -33,15 +33,11 @@ type Snapshot struct {
 	FlightSeq uint64 `json:"flight_seq"` // 0 when no flight recorder
 }
 
-// ShardSnapshot is one shard's live operating point: the controller's
-// under Adaptive, the static configuration otherwise.
+// ShardSnapshot is one shard's live gauges.
 type ShardSnapshot struct {
 	Shard      int   `json:"shard"`
 	QueueDepth int   `json:"queue_depth"`
 	Shed       int64 `json:"shed"` // deadline sheds at pop time
-	BatchCap   int   `json:"batch_cap"`
-	WindowNS   int64 `json:"window_ns"`
-	CtrlSteps  int64 `json:"ctrl_steps"` // 0 when static
 }
 
 // Snapshot assembles the current view. Safe to call while the workers
@@ -65,11 +61,7 @@ func (e *Executor) Snapshot() Snapshot {
 	}
 	for i, s := range e.shards {
 		sh := &snap.Shards[i]
-		*sh = ShardSnapshot{Shard: i, Shed: s.shed.Load(), BatchCap: e.cfg.MaxBatch, WindowNS: e.cfg.BatchWindowNS}
-		if s.ctrl != nil {
-			sh.BatchCap, sh.WindowNS = s.ctrl.params()
-			sh.CtrlSteps = s.ctrl.steps.Load()
-		}
+		*sh = ShardSnapshot{Shard: i, Shed: s.shed.Load()}
 		s.mu.Lock()
 		sh.QueueDepth = len(s.queue) - s.head
 		s.mu.Unlock()
@@ -110,19 +102,14 @@ func (s Snapshot) flightSample() FlightSample {
 }
 
 // writeStats renders the memcached `stats` reply: "STAT name value"
-// lines in sorted order, then END. Every key is always present — the
-// controller gauges read 0 and the per-shard operating points read
-// the static configuration when no controller runs — so a monitoring
-// client can parse the response against a fixed schema (the stats
-// tests pin exactly this key set).
+// lines in sorted order, then END. Every key is always present, so a
+// monitoring client can parse the response against a fixed schema (the
+// stats tests pin exactly this key set).
 func (s Snapshot) writeStats(w *bufio.Writer) {
 	lines := []string{
 		fmt.Sprintf("batched_ops_total %d", s.Counter(metrics.CtrSrvBatchedOps)),
 		fmt.Sprintf("batches_total %d", s.Counter(metrics.CtrSrvBatches)),
 		fmt.Sprintf("cmd_total %d", s.Counter(metrics.CtrSrvRequests)),
-		fmt.Sprintf("ctrl_steps %d", s.Counter(metrics.CtrSrvCtrlSteps)),
-		fmt.Sprintf("ctrl_steps_down %d", s.Counter(metrics.CtrSrvCtrlDown)),
-		fmt.Sprintf("ctrl_steps_up %d", s.Counter(metrics.CtrSrvCtrlUp)),
 		fmt.Sprintf("queue_depth %d", s.QueueDepth),
 		fmt.Sprintf("shed_total %d", s.Counter(metrics.CtrSrvShed)),
 		fmt.Sprintf("txn_aborts %d", s.Counter(metrics.CtrAborts)),
@@ -130,11 +117,8 @@ func (s Snapshot) writeStats(w *bufio.Writer) {
 	}
 	for _, sh := range s.Shards {
 		lines = append(lines,
-			fmt.Sprintf("shard%d_batch_cap %d", sh.Shard, sh.BatchCap),
-			fmt.Sprintf("shard%d_ctrl_steps %d", sh.Shard, sh.CtrlSteps),
 			fmt.Sprintf("shard%d_queue_depth %d", sh.Shard, sh.QueueDepth),
 			fmt.Sprintf("shard%d_shed %d", sh.Shard, sh.Shed),
-			fmt.Sprintf("shard%d_window_ns %d", sh.Shard, sh.WindowNS),
 		)
 	}
 	sort.Strings(lines)
@@ -158,11 +142,8 @@ func (s Snapshot) writeProm(w *strings.Builder) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", fam, fam, s.Counters[name])
 	}
 	fmt.Fprintf(w, "# TYPE goptm_srv_queue_depth gauge\ngoptm_srv_queue_depth %d\n", s.QueueDepth)
-	promShardGauge(w, "goptm_srv_shard_batch_cap", s.Shards, func(sh ShardSnapshot) int64 { return int64(sh.BatchCap) })
-	promShardGauge(w, "goptm_srv_shard_ctrl_steps", s.Shards, func(sh ShardSnapshot) int64 { return sh.CtrlSteps })
 	promShardGauge(w, "goptm_srv_shard_queue_depth", s.Shards, func(sh ShardSnapshot) int64 { return int64(sh.QueueDepth) })
 	promShardGauge(w, "goptm_srv_shard_shed", s.Shards, func(sh ShardSnapshot) int64 { return sh.Shed })
-	promShardGauge(w, "goptm_srv_shard_window_ns", s.Shards, func(sh ShardSnapshot) int64 { return sh.WindowNS })
 	promSummary(w, "goptm_srv_ack_barrier_ns", s.AckBarrier)
 	promSummary(w, "goptm_srv_batch_size", s.BatchSizes)
 	promSummary(w, "goptm_srv_journal_flush_ns", s.JournalFlush)

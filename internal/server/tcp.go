@@ -34,6 +34,12 @@ import (
 // connection cannot queue unbounded parsed state.
 const maxPipeline = 128
 
+// maxLineBytes bounds one command line (payloads are bounded
+// separately, by MaxValueBytes): a client that never sends a newline
+// cannot make the server buffer without limit. 8 KiB fits a 32-key
+// multi-get of memcached's maximum 250-byte keys.
+const maxLineBytes = 8192
+
 // pending is one parsed command waiting its turn on the response
 // stream: the submitted requests to await (in submit order) and the
 // render closure that writes the response once they complete. A nil
@@ -126,13 +132,17 @@ func (srv *Server) serveConn(conn net.Conn) {
 		srv.mu.Unlock()
 		conn.Close()
 	}()
-	r := bufio.NewReader(conn)
+	r := bufio.NewReaderSize(conn, maxLineBytes)
 	pend := make(chan *pending, maxPipeline)
 	done := make(chan struct{})
 	srv.wg.Add(1)
 	go srv.writeLoop(conn, pend, done)
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			pend <- respond("CLIENT_ERROR line too long\r\n")
+			break
+		}
 		if err != nil {
 			break
 		}
@@ -140,6 +150,9 @@ func (srv *Server) serveConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
+		// ReadSlice's result is only valid until the next read, and keys
+		// alias the line for the life of their requests: copy it once.
+		line = bytes.Clone(line)
 		// Fields of a whitespace-only line is empty even though the line
 		// is not; dispatching would index fields[0].
 		fields := bytes.Fields(line)
@@ -322,8 +335,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		if derr != nil {
 			return respond("CLIENT_ERROR invalid numeric delta argument\r\n"), nil
 		}
+		noreply := len(fields) >= 4 && string(fields[3]) == "noreply"
 		req := &Request{Op: OpIncr, Key: fields[1], Delta: delta}
-		return srv.submitCmd(req, false, func(w *bufio.Writer) {
+		return srv.submitCmd(req, noreply, func(w *bufio.Writer) {
 			switch {
 			case req.Err != nil:
 				fmt.Fprintf(w, "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")

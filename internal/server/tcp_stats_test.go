@@ -12,22 +12,16 @@ import (
 )
 
 // expectedStatKeys is the full stats schema for a server with shards
-// shards — the machine-checkable contract: every key always present,
-// controller gauges included (0 / static values when no controller
-// runs).
+// shards — the machine-checkable contract: every key always present.
 func expectedStatKeys(shards int) []string {
 	keys := []string{
 		"batched_ops_total", "batches_total", "cmd_total",
-		"ctrl_steps", "ctrl_steps_down", "ctrl_steps_up",
 		"queue_depth", "shed_total", "txn_aborts", "txn_commits",
 	}
 	for i := 0; i < shards; i++ {
 		keys = append(keys,
-			fmt.Sprintf("shard%d_batch_cap", i),
-			fmt.Sprintf("shard%d_ctrl_steps", i),
 			fmt.Sprintf("shard%d_queue_depth", i),
 			fmt.Sprintf("shard%d_shed", i),
-			fmt.Sprintf("shard%d_window_ns", i),
 		)
 	}
 	sort.Strings(keys)
@@ -85,9 +79,9 @@ func assertStatKeys(t *testing.T, got map[string]int64, shards int) {
 	}
 }
 
-// TestStatsSchemaStatic: a static server's stats response carries the
-// complete sorted key set, with the controller gauges at zero and the
-// per-shard operating points reporting the static configuration.
+// TestStatsSchemaStatic: the stats response carries the complete
+// sorted key set — and nothing else: the batch cap and window are
+// configuration, not per-shard state, so no gauge echoes them.
 func TestStatsSchemaStatic(t *testing.T) {
 	srv, _, conn, r := pipeServer(t, StoreConfig{Shards: 2},
 		ExecConfig{DeadlineNS: -1, MaxBatch: 4, BatchWindowNS: 1500, IdleSleep: 20 * time.Microsecond})
@@ -102,38 +96,5 @@ func TestStatsSchemaStatic(t *testing.T) {
 	assertStatKeys(t, got, 2)
 	if got["cmd_total"] != 1 {
 		t.Errorf("cmd_total = %d, want 1", got["cmd_total"])
-	}
-	for i := 0; i < 2; i++ {
-		if v := got[fmt.Sprintf("shard%d_batch_cap", i)]; v != 4 {
-			t.Errorf("shard%d_batch_cap = %d, want static 4", i, v)
-		}
-		if v := got[fmt.Sprintf("shard%d_window_ns", i)]; v != 1500 {
-			t.Errorf("shard%d_window_ns = %d, want static 1500", i, v)
-		}
-		if v := got[fmt.Sprintf("shard%d_ctrl_steps", i)]; v != 0 {
-			t.Errorf("shard%d_ctrl_steps = %d, want 0 on a static server", i, v)
-		}
-	}
-	for _, k := range []string{"ctrl_steps", "ctrl_steps_up", "ctrl_steps_down"} {
-		if got[k] != 0 {
-			t.Errorf("%s = %d, want 0 on a static server", k, got[k])
-		}
-	}
-}
-
-// TestStatsSchemaAdaptive: same schema under the adaptive controller,
-// with live operating points.
-func TestStatsSchemaAdaptive(t *testing.T) {
-	srv, _, conn, r := pipeServer(t, StoreConfig{Shards: 1},
-		ExecConfig{DeadlineNS: -1, Adaptive: true, IdleSleep: 20 * time.Microsecond})
-	_ = srv
-
-	got := readStats(t, conn, r)
-	assertStatKeys(t, got, 1)
-	if got["shard0_batch_cap"] <= 0 {
-		t.Errorf("shard0_batch_cap = %d, want positive", got["shard0_batch_cap"])
-	}
-	if got["shard0_window_ns"] < 0 {
-		t.Errorf("shard0_window_ns = %d, want >= 0", got["shard0_window_ns"])
 	}
 }

@@ -74,6 +74,7 @@ func TestTelemetryMetrics(t *testing.T) {
 
 	body := httpGet(t, tel.Addr(), "/metrics")
 	seen := map[string]bool{}
+	shardGauges := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		if strings.HasPrefix(line, "# TYPE ") {
 			parts := strings.Fields(line)
@@ -87,17 +88,23 @@ func TestTelemetryMetrics(t *testing.T) {
 			t.Fatalf("unparsable exposition line: %q", line)
 		}
 		seen[m[1]+m[2]] = true
+		if fam, ok := strings.CutPrefix(m[1], "goptm_srv_shard_"); ok {
+			shardGauges[fam] = true
+		}
+	}
+	// The per-shard gauge families are exactly these two: batch cap and
+	// window are configuration, not state, and are not echoed per shard.
+	if len(shardGauges) != 2 || !shardGauges["queue_depth"] || !shardGauges["shed"] {
+		t.Errorf("per-shard gauge families = %v, want queue_depth and shed", shardGauges)
 	}
 	for _, want := range []string{
 		"goptm_commits_total",
 		"goptm_srv_requests_total",
-		"goptm_srv_ctrl_steps_total",
 		"goptm_srv_queue_depth",
 		`goptm_srv_shard_queue_depth{shard="0"}`,
 		`goptm_srv_shard_queue_depth{shard="1"}`,
 		`goptm_srv_shard_shed{shard="0"}`,
-		`goptm_srv_shard_batch_cap{shard="1"}`,
-		`goptm_srv_shard_window_ns{shard="0"}`,
+		`goptm_srv_shard_shed{shard="1"}`,
 		`goptm_srv_request_latency_ns{quantile="0.5"}`,
 		`goptm_srv_request_latency_ns{quantile="0.999"}`,
 		"goptm_srv_request_latency_ns_sum",
@@ -113,7 +120,7 @@ func TestTelemetryMetrics(t *testing.T) {
 }
 
 // TestTelemetrySnapshot validates the JSON document: full counter set,
-// per-shard operating points, histogram payloads.
+// per-shard gauges, histogram payloads.
 func TestTelemetrySnapshot(t *testing.T) {
 	_, exec, tel := startTelemetryStore(t)
 	for i := 0; i < 10; i++ {
@@ -137,7 +144,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 		t.Fatalf("shards = %d, want 2", len(snap.Shards))
 	}
 	for i, s := range snap.Shards {
-		if s.Shard != i || s.BatchCap <= 0 {
+		if s.Shard != i {
 			t.Fatalf("shard %d snapshot malformed: %+v", i, s)
 		}
 	}
