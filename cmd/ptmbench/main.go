@@ -17,13 +17,10 @@
 // Execution (see docs/RUNNING.md):
 //
 //	ptmbench -fig 3 -jobs 8           # 8 cells simulate concurrently
-//	ptmbench -all -cache              # reuse results/cache across runs
-//	ptmbench -all -cache-invalidate   # drop stale entries first
 //	ptmbench -fig 3 -shard 1/4        # CI split: this machine's quarter
 //
 // Every sweep runs under the lockstep virtual-time scheduler, so the
-// rendered tables and CSV are byte-identical at any -jobs value and a
-// cached result substitutes exactly for a fresh simulation.
+// rendered tables and CSV are byte-identical at any -jobs value.
 //
 // Observability:
 //
@@ -85,7 +82,7 @@ func main() {
 	}
 
 	if !*all && (*fig < 3 || *fig > 8 || *fig == 5) {
-		fmt.Fprintln(os.Stderr, "usage: ptmbench -fig {3|4|6|7|8} [-full|-smoke] [-jobs N] [-cache] [-shard i/n] [-v] [-breakdown] [-trace out.json], or -all")
+		fmt.Fprintln(os.Stderr, "usage: ptmbench -fig {3|4|6|7|8} [-full|-smoke] [-jobs N] [-shard i/n] [-v] [-breakdown] [-trace out.json], or -all")
 		os.Exit(2)
 	}
 
@@ -99,9 +96,8 @@ func main() {
 	p.Observe = *breakdown
 	p.Counters = *counters || *metricsJSON != ""
 
-	// One worker pool size, one cache, one shard and one Progress —
-	// whose totals accumulate across figures — for every panel of the
-	// invocation.
+	// One worker pool size, one shard and one Progress — whose totals
+	// accumulate across figures — for every panel of the invocation.
 	var sweepRec *obs.Recorder
 	if *sweepTrace != "" {
 		sweepRec = obs.New(1, true)

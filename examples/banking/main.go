@@ -120,7 +120,7 @@ func runBank(dom durability.Domain) {
 		log.Fatal("invariant violated — the PTM failed isolation/atomicity")
 	}
 	if dom == durability.ADR {
-		fmt.Printf("machine snapshot under %s:\n%s\n", dom, indent(tm.MachineStats().String()))
+		fmt.Printf("machine snapshot under %s:\n%s\n", dom, indent(tm.MetricsSnapshot().String()))
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 
 	"goptm/internal/durability"
 	"goptm/internal/memdev"
+	"goptm/internal/metrics"
 )
 
-func TestMachineStatsSnapshot(t *testing.T) {
+func TestMetricsSnapshotMachine(t *testing.T) {
 	tm := smallTM(t, OrecLazy, durability.ADR, 1)
 	th := tm.Thread(0)
 	defer th.Detach()
@@ -20,7 +21,7 @@ func TestMachineStatsSnapshot(t *testing.T) {
 			tx.Store(a+memdev.Addr(i), uint64(i))
 		}
 	})
-	ms := tm.MachineStats()
+	ms := tm.MetricsSnapshot()
 	if ms.Commits != 1 {
 		t.Fatalf("commits = %d", ms.Commits)
 	}
@@ -42,7 +43,7 @@ func TestMachineStatsSnapshot(t *testing.T) {
 	}
 }
 
-func TestMachineStatsPDRAMSection(t *testing.T) {
+func TestMetricsSnapshotPDRAMSection(t *testing.T) {
 	tm := smallTM(t, OrecLazy, durability.PDRAM, 1)
 	th := tm.Thread(0)
 	defer th.Detach()
@@ -50,8 +51,8 @@ func TestMachineStatsPDRAMSection(t *testing.T) {
 		a := tx.Alloc(8)
 		tx.Store(a, 1)
 	})
-	ms := tm.MachineStats()
-	if ms.PageCache.Hits+ms.PageCache.Misses == 0 {
+	ms := tm.MetricsSnapshot()
+	if ms.PageHits+ms.PageMisses == 0 {
 		t.Fatal("PDRAM run recorded no page-cache traffic")
 	}
 	if !strings.Contains(ms.String(), "page cache:") {
@@ -59,8 +60,8 @@ func TestMachineStatsPDRAMSection(t *testing.T) {
 	}
 }
 
-func TestMachineStatsEmptyHitRate(t *testing.T) {
-	var ms MachineStats
+func TestMetricsSnapshotEmptyHitRate(t *testing.T) {
+	var ms metrics.Snapshot
 	if ms.HitRate() != 0 {
 		t.Fatal("empty stats hit rate not zero")
 	}
@@ -84,9 +85,9 @@ func TestAbortReasonExplicit(t *testing.T) {
 	if st.Aborts != 1 || st.AbortReasons[AbortExplicit] != 1 {
 		t.Fatalf("thread stats: aborts=%d reasons=%v", st.Aborts, st.AbortReasons)
 	}
-	ms := tm.MachineStats()
-	if ms.AbortReasons[AbortExplicit] != 1 {
-		t.Fatalf("machine stats reasons = %v", ms.AbortReasons)
+	ms := tm.MetricsSnapshot()
+	if ms.AbortExplicit != 1 || ms.Aborts != 1 {
+		t.Fatalf("machine snapshot: aborts=%d explicit=%d", ms.Aborts, ms.AbortExplicit)
 	}
 	s := ms.String()
 	for _, want := range []string{"aborts by reason:", "explicit", "lock-conflict"} {
@@ -114,8 +115,8 @@ func TestAbortReasonCapacityHTM(t *testing.T) {
 	if st.HTMFallbacks != 1 {
 		t.Fatalf("fallbacks = %d", st.HTMFallbacks)
 	}
-	if tm.MachineStats().AbortReasons[AbortCapacity] != 1 {
-		t.Fatalf("machine capacity aborts = %v", tm.MachineStats().AbortReasons)
+	if got := tm.MetricsSnapshot().AbortCapacity; got != 1 {
+		t.Fatalf("machine capacity aborts = %d", got)
 	}
 }
 
@@ -145,10 +146,8 @@ func TestAbortReasonsSumUnderContention(t *testing.T) {
 		}
 		wg.Wait()
 
-		var machineSum int64
-		for _, c := range tm.MachineStats().AbortReasons {
-			machineSum += c
-		}
+		ms := tm.MetricsSnapshot()
+		machineSum := ms.AbortLockConflict + ms.AbortValidation + ms.AbortCapacity + ms.AbortExplicit
 		if machineSum != tm.Aborts() {
 			t.Fatalf("%v: classified %d of %d aborts", algo, machineSum, tm.Aborts())
 		}

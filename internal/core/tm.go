@@ -236,15 +236,6 @@ func (tm *TM) Commits() int64 { return tm.met.Get(metrics.CtrCommits) }
 // Aborts reports the total aborted transaction attempts.
 func (tm *TM) Aborts() int64 { return tm.met.Get(metrics.CtrAborts) }
 
-// AbortsByReason reports the aborted attempts classified by cause.
-func (tm *TM) AbortsByReason() [NumAbortReasons]int64 {
-	var out [NumAbortReasons]int64
-	for i := range out {
-		out[i] = tm.met.Get(abortCounter(AbortReason(i)))
-	}
-	return out
-}
-
 // ResetStats zeroes the global transaction-outcome counters (used to
 // exclude warmup from measurements). Device and media counters remain
 // cumulative since construction, matching the component counters they

@@ -14,7 +14,8 @@ import (
 // AbortReason classifies why a transaction attempt aborted.
 type AbortReason uint8
 
-// Abort reasons, in MachineStats order.
+// Abort reasons, in the order of the registry's abort counters
+// (metrics.CtrAbortLockConflict + reason).
 const (
 	// AbortLockConflict: a needed orec was locked by another thread
 	// (encounter-time or commit-time acquisition failure).
@@ -32,7 +33,7 @@ const (
 	NumAbortReasons
 )
 
-// String names the reason as MachineStats renders it.
+// String names the reason as metrics.Snapshot renders it.
 func (r AbortReason) String() string {
 	switch r {
 	case AbortLockConflict:

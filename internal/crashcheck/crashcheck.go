@@ -30,7 +30,7 @@
 //	          why the paper deprecates it.
 //
 // Crash points are independent, so the campaign fans out over the
-// runner worker pool and inherits its shard/cache machinery. Failures
+// runner worker pool and inherits its shard machinery. Failures
 // shrink to a minimal replayable repro (see shrink.go).
 package crashcheck
 
@@ -45,10 +45,6 @@ import (
 	"goptm/internal/runner"
 )
 
-// CheckerVersion stamps cache keys; bump it whenever a change to the
-// checker, fault model, or protocols invalidates cached verdicts.
-const CheckerVersion = 1
-
 // Options configures one checking campaign.
 type Options struct {
 	Workload Workload
@@ -60,11 +56,10 @@ type Options struct {
 	// see core.Config.MutateDropFence).
 	MutateDropFence string
 
-	// Jobs/Shard/Cache/Progress pass through to the runner pool for
-	// the exhaustive campaign.
+	// Jobs/Shard/Progress pass through to the runner pool for the
+	// exhaustive campaign.
 	Jobs     int
 	Shard    runner.Shard
-	Cache    *runner.Cache
 	Progress *runner.Progress
 }
 
@@ -91,7 +86,7 @@ func (v *Violation) String() string {
 }
 
 // PointResult aggregates the outcome of checking one or more crash
-// points (JSON-marshalable so campaign chunks are cacheable).
+// points.
 type PointResult struct {
 	Points         int         `json:"points"`
 	Variants       int         `json:"variants"`
@@ -406,18 +401,6 @@ func (o *Options) CheckVariant(k int, plan []memdev.LineFault) (*Violation, erro
 	return o.verify(st, k, plan), nil
 }
 
-// chunkKey is the canonical cache key of one campaign chunk.
-type chunkKey struct {
-	Checker  int    `json:"checker"`
-	Workload string `json:"workload"`
-	Algo     string `json:"algo"`
-	Domain   string `json:"domain"`
-	Seed     uint64 `json:"seed"`
-	Ops      int    `json:"ops"`
-	Mutate   string `json:"mutate,omitempty"`
-	Lo, Hi   int
-}
-
 // Run executes the exhaustive campaign: every crash point × every
 // fault variant, fanned out over the runner pool in chunks of points.
 func Run(o Options) (*Report, error) {
@@ -431,7 +414,7 @@ func Run(o Options) (*Report, error) {
 		Seed: o.Workload.Seed(), Ops: o.Ops, Events: n,
 	}
 
-	// Chunks are the unit of scheduling, caching, and sharding; small
+	// Chunks are the unit of scheduling and sharding; small
 	// enough that even a short campaign splits across CI shards.
 	const chunk = 8
 	var jobs []runner.Job[PointResult]
@@ -442,12 +425,7 @@ func Run(o Options) (*Report, error) {
 		}
 		lo, hi := lo, hi
 		jobs = append(jobs, runner.Job[PointResult]{
-			Label: fmt.Sprintf("%s/%s/%s points %d..%d", rep.Workload, rep.Algo, rep.Domain, lo, hi-1),
-			Key: runner.KeyJSON(chunkKey{
-				Checker: CheckerVersion, Workload: rep.Workload, Algo: rep.Algo,
-				Domain: rep.Domain, Seed: rep.Seed, Ops: o.Ops, Mutate: o.MutateDropFence,
-				Lo: lo, Hi: hi,
-			}),
+			Label:  fmt.Sprintf("%s/%s/%s points %d..%d", rep.Workload, rep.Algo, rep.Domain, lo, hi-1),
 			CostNS: int64(hi-lo) * 1e6,
 			Run: func() (PointResult, error) {
 				var acc PointResult
@@ -465,7 +443,7 @@ func Run(o Options) (*Report, error) {
 			},
 		})
 	}
-	outs, err := runner.Run(runner.Options{Jobs: o.Jobs, Shard: o.Shard, Cache: o.Cache, Progress: o.Progress}, jobs)
+	outs, err := runner.Run(runner.Options{Jobs: o.Jobs, Shard: o.Shard, Progress: o.Progress}, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package crashcheck
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"testing"
 	"time"
@@ -131,24 +130,5 @@ func TestCheckerRejectsHTM(t *testing.T) {
 	o := Options{Workload: NewCounter(defaultCells, 1), Algo: core.AlgoHTM, Domain: durability.EADR, Ops: 2}
 	if _, err := Run(o); err == nil {
 		t.Fatal("HTM accepted")
-	}
-}
-
-// TestPointResultRoundTrip guards the runner-cache contract: chunk
-// results must survive JSON.
-func TestPointResultRoundTrip(t *testing.T) {
-	in := PointResult{Points: 3, Variants: 40, FaultsInjected: 37,
-		Violations: []Violation{{Workload: "counter", Algo: "orec-lazy", Domain: "ADR",
-			Seed: 7, Ops: 5, Event: 12, EventKind: "clwb", Committed: 2, Detail: "x"}}}
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out PointResult
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Points != in.Points || len(out.Violations) != 1 || out.Violations[0].Event != 12 {
-		t.Fatalf("round trip mangled result: %+v", out)
 	}
 }

@@ -14,13 +14,14 @@ import (
 )
 
 // CellMetrics flattens the figure's counters-enabled points into
-// report cells, in sweep order. Points measured without a metrics
-// registry (or sharded away) are skipped.
+// report cells, in sweep order. Points sharded away, or measured
+// without the breakdown recorder the attribution shares come from
+// (Params.Counters attaches it), are skipped.
 func (f Figure) CellMetrics() []metrics.CellMetrics {
 	var out []metrics.CellMetrics
 	for _, s := range f.Series {
 		for i, r := range s.Results {
-			if r.Metrics == nil {
+			if r.Workload == "" || r.Breakdown.Empty() {
 				continue
 			}
 			c := metrics.CellMetrics{
@@ -28,7 +29,7 @@ func (f Figure) CellMetrics() []metrics.CellMetrics {
 				Workload: f.Workload,
 				Cell:     s.Cell.Label(),
 				Threads:  f.Threads[i],
-				Counters: *r.Metrics,
+				Counters: r.Metrics,
 			}
 			b := r.Breakdown
 			c.Attribution = metrics.AttributionFromBreakdown(&b)

@@ -10,7 +10,7 @@ import (
 	"goptm/internal/runner"
 )
 
-// serialOpts runs a sweep on one worker with no cache, shard or progress.
+// serialOpts runs a sweep on one worker with no shard or progress.
 var serialOpts = runner.Options{Jobs: 1}
 
 // tinyParams keeps experiment-plumbing tests fast.

@@ -14,7 +14,7 @@ import (
 // Lockstep simulations are pure functions of their configuration, so
 // this hash must not move unless the timing model or the workloads
 // change (in which case re-derive it with `go test -run TestGoldenSweep
-// -v` and bump harness.SimVersion so cached results are dropped too).
+// -v`).
 // It is the regression guard for scheduler rewrites: any change to the
 // lockstep engine that alters grant order shows up here as a byte
 // difference before it can silently invalidate archived figures.

@@ -4,8 +4,8 @@
 // reports throughput and commit/abort statistics. The experiment
 // definitions that regenerate each figure and table live in
 // experiments.go; sweep.go decomposes them into independent jobs for
-// the parallel engine (internal/runner), which adds worker pooling,
-// content-addressed result caching, and CI sharding on top.
+// the parallel engine (internal/runner), which adds worker pooling
+// and CI sharding on top.
 package harness
 
 import (
@@ -67,9 +67,10 @@ type RunConfig struct {
 	Recorder *obs.Recorder
 	// Metrics attaches the hardware-counter registry (media/WPQ
 	// telemetry and the virtual-time series). nil leaves the counter
-	// model off the device paths; Result.Metrics stays nil. Counting is
-	// pure accounting — it never moves virtual time, so attaching a
-	// registry cannot change any measured number.
+	// model off the device paths; Result.Metrics then carries only the
+	// always-on component and transaction counters. Counting is pure
+	// accounting — it never moves virtual time, so attaching a registry
+	// cannot change any measured number.
 	Metrics *metrics.Registry
 }
 
@@ -84,20 +85,18 @@ type Result struct {
 	ThroughputOps   float64
 	CommitsPerAbort float64
 	MaxLogLines     int
-	WPQStallNS      int64
 	EndVT           int64 // virtual time at the end of the measurement
 	// Latency aggregates committed-transaction latency across workers
 	// (virtual ns; includes warmup transactions).
 	Latency stats.Histogram
-	// Machine is the cross-layer machine snapshot at the end of the
-	// run (cumulative counters including setup and warmup).
-	Machine core.MachineStats
 	// Breakdown is the merged phase accounting (zero unless the run
 	// config attached a Recorder; cumulative including warmup).
 	Breakdown obs.Breakdown
-	// Metrics is the full counter snapshot (nil unless the run config
-	// attached a metrics registry; cumulative including warmup).
-	Metrics *metrics.Snapshot `json:",omitempty"`
+	// Metrics is the machine's counter snapshot at the end of the run
+	// (cumulative including setup and warmup; the media-model fields
+	// and time series are zero unless the run config attached a
+	// metrics registry).
+	Metrics metrics.Snapshot
 }
 
 // BuildTM assembles a TM for one cell and run configuration, sized
@@ -235,13 +234,8 @@ func RunOn(tm *core.TM, c Cell, rc RunConfig, w workload.Workload) Result {
 	if res.Aborts > 0 {
 		res.CommitsPerAbort = float64(res.Commits) / float64(res.Aborts)
 	}
-	res.WPQStallNS = tm.Bus().Controller().Counters().StallNS
 	res.EndVT = end
-	res.Machine = tm.MachineStats()
 	res.Breakdown = tm.Recorder().Breakdown()
-	if rc.Metrics != nil {
-		snap := tm.MetricsSnapshot()
-		res.Metrics = &snap
-	}
+	res.Metrics = tm.MetricsSnapshot()
 	return res
 }

@@ -6,7 +6,7 @@ package harness
 // machine — and reassembled in definition order, so the rendered
 // output is byte-identical at any worker count. All sweep jobs run
 // under the lockstep scheduler, which is what makes a cell's result a
-// pure function of its configuration and therefore cacheable.
+// pure function of its configuration.
 
 import (
 	"fmt"
@@ -19,43 +19,14 @@ import (
 	"goptm/internal/workload/kvstore"
 )
 
-// SimVersion stamps every cache key. Bump it whenever a simulator
-// change can alter any measurement — timing model, scheduler,
-// workload generation — so stale cached results can never be mistaken
-// for current ones.
-const SimVersion = 1
-
 // seriesSamples is how many fixed-interval samples a counters-enabled
 // sweep cell records across its warmup + measurement window.
 const seriesSamples = 64
 
-// pointKey is the canonical cache identity of one measurement. Field
-// order is the canonical JSON order — changing it orphans every
-// existing cache entry (bump SimVersion if you must).
-type pointKey struct {
-	Sim        int    `json:"sim"`
-	Workload   string `json:"workload"`
-	Cell       string `json:"cell"`
-	Threads    int    `json:"threads"`
-	WarmupNS   int64  `json:"warmup_ns"`
-	MeasureNS  int64  `json:"measure_ns"`
-	Small      bool   `json:"small"`
-	Observe    bool   `json:"observe"`
-	Counters   bool   `json:"counters,omitempty"`
-	L3Lines    int    `json:"l3_lines,omitempty"`
-	PageFrames int    `json:"page_frames,omitempty"`
-	Items      int    `json:"items,omitempty"`
-}
-
 // panelJob builds the runner job for one (cell, thread-count) point.
 func panelJob(mk WorkloadMaker, cell Cell, n int, p Params) runner.Job[Result] {
 	return runner.Job[Result]{
-		Label: fmt.Sprintf("%s %s @%d", mk.Name, cell.Label(), n),
-		Key: runner.KeyJSON(pointKey{
-			Sim: SimVersion, Workload: mk.Name, Cell: cell.Label(),
-			Threads: n, WarmupNS: p.WarmupNS, MeasureNS: p.MeasureNS,
-			Small: p.Small, Observe: p.Observe, Counters: p.Counters,
-		}),
+		Label:  fmt.Sprintf("%s %s @%d", mk.Name, cell.Label(), n),
 		CostNS: p.WarmupNS + p.MeasureNS,
 		Run: func() (Result, error) {
 			rc := RunConfig{Threads: n, WarmupNS: p.WarmupNS, MeasureNS: p.MeasureNS, Lockstep: true}
@@ -73,13 +44,13 @@ func panelJob(mk WorkloadMaker, cell Cell, n int, p Params) runner.Job[Result] {
 		Detail: func(r Result) string {
 			return fmt.Sprintf("%s %-24s %2d threads: %10.0f ops/s (cache hit %.1f%%, p99 %d ns)",
 				mk.Name, cell.Label(), n, r.ThroughputOps,
-				100*r.Machine.HitRate(), r.Latency.Percentile(99))
+				100*r.Metrics.HitRate(), r.Latency.Percentile(99))
 		},
 	}
 }
 
 // RunPanel measures every (cell, thread-count) point of one panel.
-// opts says how the sweep executes (workers, cache, shard, progress),
+// opts says how the sweep executes (workers, shard, progress),
 // not what it measures — that stays in Params. Skipped (sharded-away)
 // points stay zero Results and render as "-".
 func RunPanel(name string, mk WorkloadMaker, cells []Cell, p Params, opts runner.Options) (Figure, error) {
@@ -130,12 +101,7 @@ func RunTable3(p Params, opts runner.Options) ([]Table3Row, error) {
 			mk, algo := mk, algo
 			cell := Cell{Medium: core.MediumNVM, Domain: durability.ADR, Algo: algo}
 			jobs = append(jobs, runner.Job[Table3Row]{
-				Label: fmt.Sprintf("table3 %s %v", mk.Name, algo),
-				Key: runner.KeyJSON(pointKey{
-					Sim: SimVersion, Workload: "table3/" + mk.Name, Cell: cell.Label(),
-					Threads: threads, WarmupNS: p.WarmupNS, MeasureNS: p.MeasureNS,
-					Small: p.Small,
-				}),
+				Label:  fmt.Sprintf("table3 %s %v", mk.Name, algo),
 				CostNS: 2 * (p.WarmupNS + p.MeasureNS),
 				Run: func() (Table3Row, error) {
 					rc := RunConfig{Threads: threads, WarmupNS: p.WarmupNS, MeasureNS: p.MeasureNS, Lockstep: true}
@@ -187,13 +153,7 @@ func RunFig8(p Params, opts runner.Options) ([]Fig8Point, error) {
 		for _, cell := range cells {
 			n, cell := n, cell
 			jobs = append(jobs, runner.Job[Result]{
-				Label: fmt.Sprintf("fig8 items=%d %s", n, cell.Label()),
-				Key: runner.KeyJSON(pointKey{
-					Sim: SimVersion, Workload: "fig8/kvstore", Cell: cell.Label(),
-					Threads: 1, WarmupNS: p.WarmupNS, MeasureNS: p.MeasureNS,
-					Small: p.Small, L3Lines: fig8L3Lines, PageFrames: fig8PageFrames,
-					Items: n,
-				}),
+				Label:  fmt.Sprintf("fig8 items=%d %s", n, cell.Label()),
 				CostNS: p.WarmupNS + p.MeasureNS,
 				Run: func() (Result, error) {
 					rc := RunConfig{

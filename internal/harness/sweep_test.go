@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"goptm/internal/core"
@@ -44,53 +43,6 @@ func TestSweepDeterminism(t *testing.T) {
 	got, want := renderFigure(t, par), renderFigure(t, serial)
 	if !bytes.Equal(got, want) {
 		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- jobs=4 ---\n%s", want, got)
-	}
-}
-
-// TestSweepCache runs the same panel twice against one cache: the warm
-// run must simulate nothing and still render byte-identical output —
-// the round trip through the content-addressed store is exact.
-func TestSweepCache(t *testing.T) {
-	cache, err := runner.OpenCache(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sweepTestParams()
-	mk := table12Maker()
-	cells := TableIOrIICells(core.OrecEager)
-
-	coldProg := runner.NewProgress(nil, nil)
-	cold, err := RunPanel("Table II", mk, cells, p, runner.Options{Jobs: 2, Cache: cache, Progress: coldProg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, sim, hits, _ := coldProg.Counts(); sim != len(cells)*len(p.Threads) || hits != 0 {
-		t.Fatalf("cold run: %d simulated, %d hits", sim, hits)
-	}
-
-	warmProg := runner.NewProgress(nil, nil)
-	warm, err := RunPanel("Table II", mk, cells, p, runner.Options{Jobs: 2, Cache: cache, Progress: warmProg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, sim, hits, _ := warmProg.Counts(); sim != 0 || hits != len(cells)*len(p.Threads) {
-		t.Fatalf("warm run: %d simulated, %d hits", sim, hits)
-	}
-	got, want := renderFigure(t, warm), renderFigure(t, cold)
-	if !bytes.Equal(got, want) {
-		t.Errorf("cached output differs from simulated:\n--- cold ---\n%s\n--- warm ---\n%s", want, got)
-	}
-
-	// Invalidate drops every entry: the next run simulates again.
-	if err := cache.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
-	postProg := runner.NewProgress(nil, nil)
-	if _, err := RunPanel("Table II", mk, cells, p, runner.Options{Jobs: 2, Cache: cache, Progress: postProg}); err != nil {
-		t.Fatal(err)
-	}
-	if _, sim, hits, _ := postProg.Counts(); sim != len(cells)*len(p.Threads) || hits != 0 {
-		t.Fatalf("post-invalidate run: %d simulated, %d hits", sim, hits)
 	}
 }
 

@@ -1,13 +1,17 @@
 package metrics
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Snapshot is the complete counter state of one simulated machine at
 // the end of a run, flattened into one JSON-stable struct. The machine
 // (core.TM) assembles it: the registry contributes the transaction and
 // media counters, each component contributes its own section. Field
-// names are the metrics-report schema; Snapshot must round-trip
-// through encoding/json exactly (all fields are integers except the
-// derived amplification ratios), which the content-addressed result
-// cache relies on.
+// names are the metrics-report schema, which cmd/ptmstat reads back:
+// all fields are integers except the derived amplification ratios, so
+// the JSON round trip is exact.
 type Snapshot struct {
 	// Transaction outcomes.
 	Commits           int64 `json:"commits"`
@@ -114,4 +118,37 @@ func (s *Snapshot) FillRegistry(m *Registry) {
 	if s.NVMLoads > 0 {
 		s.ReadAmp = float64(s.MediaReadXPLines*XPLineBytes) / float64(s.NVMLoads*WordBytes)
 	}
+}
+
+// HitRate reports the fraction of cache accesses served at or above
+// the L3 (i.e. not by memory).
+func (s Snapshot) HitRate() float64 {
+	total := s.CacheHitL1 + s.CacheHitL2 + s.CacheHitL3 + s.CacheMisses
+	if total == 0 {
+		return 0
+	}
+	return 1 - float64(s.CacheMisses)/float64(total)
+}
+
+// String renders a compact multi-line report of the machine-level
+// counters, for debugging and the examples' verbose output.
+func (s Snapshot) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "txns: %d commits, %d aborts\n", s.Commits, s.Aborts)
+	if s.Aborts > 0 {
+		fmt.Fprintf(&b, "aborts by reason: %d lock-conflict, %d validation, %d htm-capacity, %d explicit\n",
+			s.AbortLockConflict, s.AbortValidation, s.AbortCapacity, s.AbortExplicit)
+	}
+	fmt.Fprintf(&b, "nvm:  %d stores, %d flushes accepted, %.2f ms accept-stall\n",
+		s.NVMStores, s.Flushes, float64(s.WPQStallNS)/1e6)
+	fmt.Fprintf(&b, "media busy: write %.2f ms, read %.2f ms\n",
+		float64(s.NVMWriteBusyNS)/1e6, float64(s.NVMReadBusyNS)/1e6)
+	fmt.Fprintf(&b, "cache: L1 %d, L2 %d, L3 %d, miss %d (%.1f%% hit)\n",
+		s.CacheHitL1, s.CacheHitL2, s.CacheHitL3, s.CacheMisses, 100*s.HitRate())
+	if s.PageHits+s.PageMisses > 0 {
+		fmt.Fprintf(&b, "page cache: %d hits, %d misses, %d writebacks, %d prefetches (%d used), %d async cleans\n",
+			s.PageHits, s.PageMisses, s.PageWritebacks,
+			s.PagePrefetches, s.PagePrefetchHits, s.PageAsyncCleans)
+	}
+	return b.String()
 }

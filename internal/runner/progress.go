@@ -16,10 +16,9 @@ import (
 //
 // The ETA estimate uses the completed-cell virtual-to-wall ratio:
 // every job declares its virtual cost up front (warmup + measurement
-// window), simulated jobs report the wall time they actually took, and
-// the remaining wall time is remaining-virtual-ns × (wall-per-virtual)
-// ÷ workers. Cache hits and skipped cells retire their virtual cost
-// for free, which is exactly how they shorten the estimate.
+// window) and reports the wall time it actually took, and the
+// remaining wall time is remaining-virtual-ns × (wall-per-virtual) ÷
+// workers. Cells sharded away are never part of the total.
 //
 // A nil *Progress is valid and silent, like a nil obs recorder. One
 // Progress may span several sweeps (ptmbench -all): Begin accumulates
@@ -34,12 +33,9 @@ type Progress struct {
 	total     int   // owned cells across all Begin calls
 	totalCost int64 // virtual ns across owned cells
 	done      int
-	doneCost  int64 // virtual ns retired (simulated + cached)
-	simulated int
-	hits      int
+	doneCost  int64 // virtual ns of completed cells
 	skipped   int
 	simWall   time.Duration // wall time spent simulating
-	simCost   int64         // virtual ns of simulated cells only
 }
 
 // NewProgress builds a reporter writing per-cell lines to w (nil for
@@ -76,29 +72,21 @@ func (p *Progress) Skip(n int) {
 	p.mu.Unlock()
 }
 
-// Done records one completed cell. src tells whether it was simulated
-// or served from the cache; costNS is the cell's declared virtual
-// cost, wall the host time a simulation took (zero for hits), and
-// detail an optional human line (throughput and friends) to print
-// after the [done/total] prefix.
-func (p *Progress) Done(label string, src Source, costNS int64, wall time.Duration, detail string) {
+// Done records one simulated cell: costNS is the cell's declared
+// virtual cost, wall the host time the simulation took, and detail an
+// optional human line (throughput and friends) to print after the
+// [done/total] prefix.
+func (p *Progress) Done(label string, costNS int64, wall time.Duration, detail string) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	p.done++
 	p.doneCost += costNS
-	switch src {
-	case CacheHit:
-		p.hits++
-	default:
-		p.simulated++
-		p.simWall += wall
-		p.simCost += costNS
-	}
+	p.simWall += wall
 	line := detail
 	if line == "" {
-		line = fmt.Sprintf("%s: %s", label, src)
+		line = label + ": simulated"
 	}
 	out := fmt.Sprintf("  [%*d/%d] %s%s\n", digits(p.total), p.done, p.total, line, p.etaLocked())
 	done, start, w, rec := p.done, p.start, p.w, p.rec
@@ -112,37 +100,36 @@ func (p *Progress) Done(label string, src Source, costNS int64, wall time.Durati
 	rec.CountShared(obs.TrackSweepCells, time.Since(start).Nanoseconds(), float64(done))
 }
 
-// etaLocked renders the ETA suffix, or "" before any simulated cell
+// etaLocked renders the ETA suffix, or "" before any completed cell
 // has established a virtual-to-wall ratio. Caller holds p.mu.
 func (p *Progress) etaLocked() string {
-	if p.done >= p.total || p.simCost == 0 || p.workers == 0 {
+	if p.done >= p.total || p.doneCost == 0 || p.workers == 0 {
 		return ""
 	}
-	ratio := float64(p.simWall) / float64(p.simCost) // wall ns per virtual ns
+	ratio := float64(p.simWall) / float64(p.doneCost) // wall ns per virtual ns
 	rem := time.Duration(float64(p.totalCost-p.doneCost) * ratio / float64(p.workers))
 	return fmt.Sprintf("   (ETA %s)", rem.Round(time.Second))
 }
 
-// Counts reports completed, simulated, cache-hit, and skipped cells.
-func (p *Progress) Counts() (done, simulated, hits, skipped int) {
+// Counts reports completed and skipped cells.
+func (p *Progress) Counts() (done, skipped int) {
 	if p == nil {
-		return 0, 0, 0, 0
+		return 0, 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.done, p.simulated, p.hits, p.skipped
+	return p.done, p.skipped
 }
 
-// Summary renders the one-line sweep outcome the CLIs print (and the
-// CI cache job greps for its "0 simulated" assertion).
+// Summary renders the one-line sweep outcome the CLIs print.
 func (p *Progress) Summary() string {
 	if p == nil {
 		return ""
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return fmt.Sprintf("%d cells: %d simulated, %d cached, %d skipped in %s",
-		p.done, p.simulated, p.hits, p.skipped, time.Since(p.start).Round(10*time.Millisecond))
+	return fmt.Sprintf("%d cells: %d simulated, %d skipped in %s",
+		p.done, p.done, p.skipped, time.Since(p.start).Round(10*time.Millisecond))
 }
 
 // digits reports the print width of n, for aligned [done/total].

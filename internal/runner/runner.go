@@ -1,10 +1,9 @@
 // Package runner is the parallel experiment engine: it schedules the
 // independent cells of a sweep (one cell = one self-contained
 // discrete-event simulation in virtual time) across a bounded worker
-// pool, optionally serves and stores results through a
-// content-addressed cache, splits work across CI machines by shard,
-// and reports per-cell progress with an ETA derived from the
-// completed cells' virtual-to-wall ratio.
+// pool, splits work across CI machines by shard, and reports per-cell
+// progress with an ETA derived from the completed cells'
+// virtual-to-wall ratio.
 //
 // Determinism is the load-bearing property. Because every cell owns
 // its whole machine — virtual-time engine, memory system, RNG seeds —
@@ -12,8 +11,9 @@
 // (simtime.NewLockstepEngine), a cell's result is a pure function of
 // its configuration. The pool therefore reassembles results in job
 // order and produces output byte-identical to a serial run at any
-// worker count, and the cache can substitute a stored result for a
-// simulation without changing a single output byte.
+// worker count. Results are never stored: a number is only worth
+// printing if this build of the simulator computed it (docs/RUNNING.md,
+// "Why there is no result cache").
 //
 // The package is generic over the result type: the harness runs panel
 // cells (harness.Result) and Table III rows through the same engine.
@@ -33,33 +33,16 @@ import (
 // Source says how a job's result was obtained.
 type Source int
 
-// Job outcomes: simulated fresh, served from the result cache, or
-// skipped because another shard owns it.
+// Job outcomes: simulated, or skipped because another shard owns it.
 const (
 	Simulated Source = iota
-	CacheHit
 	Skipped
 )
-
-// String names the source for progress lines.
-func (s Source) String() string {
-	switch s {
-	case CacheHit:
-		return "cached"
-	case Skipped:
-		return "skipped"
-	default:
-		return "simulated"
-	}
-}
 
 // Job is one schedulable cell of a sweep.
 type Job[T any] struct {
 	// Label identifies the cell in progress output.
 	Label string
-	// Key is the canonical config JSON for content addressing (see
-	// Cache). nil marks the job uncacheable.
-	Key []byte
 	// CostNS is the job's a-priori virtual duration (warmup +
 	// measurement window), the unit of the ETA estimate.
 	CostNS int64
@@ -87,41 +70,21 @@ type Options struct {
 	// Shard restricts execution to every Count-th job (zero value: run
 	// everything).
 	Shard Shard
-	// Cache, when non-nil, serves jobs with a Key from the store and
-	// saves fresh results back.
-	Cache *Cache
 	// Progress, when non-nil, receives per-cell completion reports.
 	Progress *Progress
 }
 
 // OptionFlags registers the sweep-execution flags ptmbench and
-// ptmtables share (-jobs, -cache, -cachedir, -cache-invalidate, -shard,
-// -v) on fs and returns the function that, once fs is parsed, turns
-// them into Options: it opens (and on -cache-invalidate empties) the
-// cache, parses the shard, and builds the Progress, whose per-cell
-// lines go to verbose only under -v and whose counter samples go to
-// rec (nil for none).
+// ptmtables share (-jobs, -shard, -v) on fs and returns the function
+// that, once fs is parsed, turns them into Options: it parses the shard
+// and builds the Progress, whose per-cell lines go to verbose only
+// under -v and whose counter samples go to rec (nil for none).
 func OptionFlags(fs *flag.FlagSet) func(verbose io.Writer, rec *obs.Recorder) (Options, error) {
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial; output is identical either way)")
-	useCache := fs.Bool("cache", false, "serve previously simulated points from -cachedir and store fresh ones")
-	cacheDir := fs.String("cachedir", "results/cache", "content-addressed result cache directory")
-	invalidate := fs.Bool("cache-invalidate", false, "drop every cached result first (implies -cache)")
 	shardSpec := fs.String("shard", "", "run only shard i of n (\"i/n\", 1-based) for CI splitting")
 	v := fs.Bool("v", false, "stream per-point progress")
 	return func(verbose io.Writer, rec *obs.Recorder) (Options, error) {
 		opts := Options{Jobs: *jobs}
-		if *useCache || *invalidate {
-			cache, err := OpenCache(*cacheDir)
-			if err != nil {
-				return opts, err
-			}
-			if *invalidate {
-				if err := cache.Invalidate(); err != nil {
-					return opts, err
-				}
-			}
-			opts.Cache = cache
-		}
 		var err error
 		if opts.Shard, err = ParseShard(*shardSpec); err != nil {
 			return opts, err
@@ -198,33 +161,17 @@ func Run[T any](opts Options, jobs []Job[T]) ([]Outcome[T], error) {
 	return outs, nil
 }
 
-// runOne resolves one owned job: cache lookup, simulation, store.
+// runOne simulates one owned job and reports it.
 func runOne[T any](opts Options, j *Job[T]) (Outcome[T], error) {
-	cacheable := opts.Cache != nil && j.Key != nil
-	if cacheable {
-		var v T
-		if opts.Cache.Get(j.Key, &v) {
-			opts.Progress.Done(j.Label, CacheHit, j.CostNS, 0, detail(j, v))
-			return Outcome[T]{Value: v, Source: CacheHit}, nil
-		}
-	}
 	t0 := time.Now()
 	v, err := j.Run()
 	if err != nil {
 		return Outcome[T]{}, err
 	}
-	if cacheable {
-		if err := opts.Cache.Put(j.Key, &v); err != nil {
-			return Outcome[T]{}, err
-		}
+	detail := ""
+	if j.Detail != nil {
+		detail = j.Detail(v)
 	}
-	opts.Progress.Done(j.Label, Simulated, j.CostNS, time.Since(t0), detail(j, v))
+	opts.Progress.Done(j.Label, j.CostNS, time.Since(t0), detail)
 	return Outcome[T]{Value: v, Source: Simulated}, nil
-}
-
-func detail[T any](j *Job[T], v T) string {
-	if j.Detail == nil {
-		return ""
-	}
-	return j.Detail(v)
 }

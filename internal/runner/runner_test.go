@@ -4,8 +4,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -142,142 +140,15 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-type fakeResult struct {
-	Name  string  `json:"name"`
-	Score float64 `json:"score"`
-}
-
-func TestCacheHitMissInvalidate(t *testing.T) {
-	c, err := OpenCache(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := KeyJSON(struct {
-		Sim  int    `json:"sim"`
-		Cell string `json:"cell"`
-	}{1, "Optane_ADR_R"})
-
-	var out fakeResult
-	if c.Get(key, &out) {
-		t.Fatal("hit on empty cache")
-	}
-	want := fakeResult{Name: "x", Score: 1.5}
-	if err := c.Put(key, &want); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Get(key, &out) || out != want {
-		t.Fatalf("after put: got %+v", out)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	// A different key misses.
-	if c.Get(KeyJSON(struct {
-		Sim  int    `json:"sim"`
-		Cell string `json:"cell"`
-	}{2, "Optane_ADR_R"}), &out) {
-		t.Fatal("hit on different sim version")
-	}
-	if err := c.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 0 || c.Get(key, &out) {
-		t.Fatal("entry survived Invalidate")
-	}
-	hits, misses, stores := c.Stats()
-	if hits != 1 || misses != 3 || stores != 1 {
-		t.Fatalf("stats = %d/%d/%d", hits, misses, stores)
-	}
-}
-
-func TestCacheRejectsCorruptAndMismatched(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := KeyJSON(map[string]int{"k": 1})
-	if err := c.Put(key, &fakeResult{Name: "ok"}); err != nil {
-		t.Fatal(err)
-	}
-	path := c.path(key)
-	// Truncated file reads as a miss.
-	if err := os.WriteFile(path, []byte(`{"config":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out fakeResult
-	if c.Get(key, &out) {
-		t.Fatal("hit on corrupt entry")
-	}
-	// An entry whose embedded config doesn't match the key (hash
-	// collision or hand-edited file) reads as a miss.
-	if err := os.WriteFile(path, []byte(`{"config":{"k":2},"result":{"name":"evil"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if c.Get(key, &out) {
-		t.Fatal("hit on mismatched config")
-	}
-}
-
-func TestRunWithCache(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sims atomic.Int32
-	mk := func() []Job[fakeResult] {
-		jobs := make([]Job[fakeResult], 8)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job[fakeResult]{
-				Key:    KeyJSON(map[string]int{"cell": i}),
-				CostNS: 100,
-				Run: func() (fakeResult, error) {
-					sims.Add(1)
-					return fakeResult{Name: fmt.Sprintf("c%d", i), Score: float64(i)}, nil
-				},
-			}
-		}
-		return jobs
-	}
-	cold, err := Run(Options{Jobs: 4, Cache: c}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sims.Load() != 8 {
-		t.Fatalf("cold run simulated %d", sims.Load())
-	}
-	p := NewProgress(nil, nil)
-	warm, err := Run(Options{Jobs: 4, Cache: c, Progress: p}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sims.Load() != 8 {
-		t.Fatalf("warm run re-simulated: %d total", sims.Load())
-	}
-	for i := range warm {
-		if warm[i].Source != CacheHit || warm[i].Value != cold[i].Value {
-			t.Fatalf("warm[%d] = %+v, cold %+v", i, warm[i], cold[i])
-		}
-	}
-	done, simulated, hits, skipped := p.Counts()
-	if done != 8 || simulated != 0 || hits != 8 || skipped != 0 {
-		t.Fatalf("counts = %d/%d/%d/%d", done, simulated, hits, skipped)
-	}
-	if !strings.Contains(p.Summary(), "0 simulated") {
-		t.Fatalf("summary %q", p.Summary())
-	}
-}
-
 func TestProgressNilSafe(t *testing.T) {
 	var p *Progress
 	p.Begin(1, 1, 1)
 	p.Skip(1)
-	p.Done("x", Simulated, 1, 0, "")
+	p.Done("x", 1, 0, "")
 	if p.Summary() != "" {
 		t.Fatal("nil summary")
 	}
-	d, s, h, k := p.Counts()
-	if d+s+h+k != 0 {
+	if d, k := p.Counts(); d+k != 0 {
 		t.Fatal("nil counts")
 	}
 }
@@ -286,19 +157,39 @@ func TestProgressLines(t *testing.T) {
 	var sb strings.Builder
 	p := NewProgress(&sb, nil)
 	p.Begin(2, 2000, 1)
-	p.Done("a", Simulated, 1000, 1, "a: 5 ops")
-	p.Done("b", CacheHit, 1000, 0, "")
+	p.Skip(3)
+	p.Done("a", 1000, 1, "a: 5 ops")
+	p.Done("b", 1000, 1, "")
 	out := sb.String()
-	if !strings.Contains(out, "[1/2] a: 5 ops") || !strings.Contains(out, "[2/2] b: cached") {
+	if !strings.Contains(out, "[1/2] a: 5 ops") || !strings.Contains(out, "[2/2] b: simulated") {
 		t.Fatalf("progress output:\n%s", out)
+	}
+	// The ETA appears once a completed cell has set the virtual-to-wall
+	// ratio and work remains; the last cell has nothing left to estimate.
+	if lines := strings.Split(out, "\n"); !strings.Contains(lines[0], "(ETA ") || strings.Contains(lines[1], "ETA") {
+		t.Fatalf("ETA placement:\n%s", out)
+	}
+	if d, k := p.Counts(); d != 2 || k != 3 {
+		t.Fatalf("counts = %d done, %d skipped", d, k)
+	}
+	if !strings.HasPrefix(p.Summary(), "2 cells: 2 simulated, 3 skipped in ") {
+		t.Fatalf("summary %q", p.Summary())
 	}
 }
 
 // TestOptionFlags pins what ptmbench and ptmtables each used to spell
-// out inline: -cache-invalidate alone opens (and empties) the cache, a
-// bad -shard is an error, -v decides whether progress lines reach the
-// writer, and the defaults are the uncached, unsharded, all-CPUs pool.
+// out inline: a bad -shard is an error, -v decides whether progress
+// lines reach the writer, and the defaults are the unsharded, all-CPUs
+// pool. Exactly three flags: the result cache's three are gone.
 func TestOptionFlags(t *testing.T) {
+	var names []string
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	OptionFlags(fs)
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, " "); got != "jobs shard v" {
+		t.Fatalf("registered flags = %q, want jobs shard v", got)
+	}
+
 	parse := func(args ...string) (Options, *strings.Builder, error) {
 		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 		build := OptionFlags(fs)
@@ -311,11 +202,11 @@ func TestOptionFlags(t *testing.T) {
 	}
 
 	opts, sb, err := parse()
-	if err != nil || opts.Jobs != runtime.GOMAXPROCS(0) || opts.Cache != nil || opts.Shard != (Shard{}) {
+	if err != nil || opts.Jobs != runtime.GOMAXPROCS(0) || opts.Shard != (Shard{}) {
 		t.Fatalf("defaults = %+v, %v", opts, err)
 	}
 	opts.Progress.Begin(1, 1000, 1)
-	opts.Progress.Done("a", Simulated, 1000, 1, "")
+	opts.Progress.Done("a", 1000, 1, "")
 	if sb.Len() != 0 {
 		t.Fatalf("progress lines without -v: %q", sb)
 	}
@@ -325,26 +216,9 @@ func TestOptionFlags(t *testing.T) {
 		t.Fatalf("-v -jobs 3 -shard 2/4 = %+v, %v", opts, err)
 	}
 	opts.Progress.Begin(1, 1000, 1)
-	opts.Progress.Done("a", Simulated, 1000, 1, "")
+	opts.Progress.Done("a", 1000, 1, "")
 	if !strings.Contains(sb.String(), "[1/1] a: simulated") {
 		t.Fatalf("-v progress output: %q", sb)
-	}
-
-	// A stale entry in the directory: -cache keeps it, -cache-invalidate
-	// (with no -cache) opens the same cache and drops it.
-	dir := filepath.Join(t.TempDir(), "cache")
-	seed, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Put(KeyJSON("k"), &fakeResult{Name: "stale"}); err != nil {
-		t.Fatal(err)
-	}
-	if opts, _, err = parse("-cache", "-cachedir", dir); err != nil || opts.Cache == nil || opts.Cache.Len() != 1 {
-		t.Fatalf("-cache: %+v, %v", opts, err)
-	}
-	if opts, _, err = parse("-cache-invalidate", "-cachedir", dir); err != nil || opts.Cache == nil || opts.Cache.Dir() != dir || opts.Cache.Len() != 0 {
-		t.Fatalf("-cache-invalidate alone: %+v, %v", opts, err)
 	}
 
 	if _, _, err := parse("-shard", "5/4"); err == nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -217,6 +218,44 @@ func TestCorruptImageRejectedTyped(t *testing.T) {
 	// The untouched image still opens.
 	if _, err := OpenImage(path); err != nil {
 		t.Fatalf("pristine image rejected: %v", err)
+	}
+}
+
+// TestUnexaminablePathIsNotAFreshStart: only "no such file" may lead to
+// formatting. A path whose stat fails any other way (here ENOTDIR: a
+// regular file stands where a directory should) must be an error from
+// both openers, with nothing created — not a fresh, un-recovered store
+// served over an image that was never looked at.
+func TestUnexaminablePathIsNotAFreshStart(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "plain")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := StoreConfig{Shards: 1, Heap: 1 << 18}
+	openers := []struct {
+		name string
+		open func(string, StoreConfig) (*Store, error)
+	}{
+		{"OpenOrRecover", OpenOrRecover},
+		{"OpenDurable", OpenDurable},
+	}
+	for _, o := range openers {
+		t.Run(o.name, func(t *testing.T) {
+			bad := filepath.Join(file, "kv.img")
+			if _, err := o.open(bad, cfg); err == nil || errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("%s(%s) error = %v; want a stat error", o.name, bad, err)
+			}
+			if got, err := os.ReadDir(dir); err != nil || len(got) != 1 {
+				t.Fatalf("failed open left files behind: %v, %v", got, err)
+			}
+
+			absent := filepath.Join(t.TempDir(), "kv.img")
+			st, err := o.open(absent, cfg)
+			if err != nil || st.Recovered {
+				t.Fatalf("%s on an absent path: %v; want a fresh store", o.name, err)
+			}
+		})
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -409,14 +410,34 @@ func openImage(path, walPath string) (*Store, error) {
 // OpenOrRecover opens path if it exists, else formats a fresh store
 // with cfg — the single entry point ptmserve uses at startup. A file
 // that exists but fails validation is an error, never silently
-// reformatted (errors.Is(err, ErrCorruptImage) distinguishes it).
+// reformatted (errors.Is(err, ErrCorruptImage) distinguishes it), and
+// so is a path that cannot be examined.
 func OpenOrRecover(path string, cfg StoreConfig) (*Store, error) {
 	if path != "" {
-		if _, err := os.Stat(path); err == nil {
+		exists, err := imageExists(path)
+		if err != nil {
+			return nil, err
+		}
+		if exists {
 			return OpenImage(path)
 		}
 	}
 	return Open(cfg)
+}
+
+// imageExists reports whether an image file is present at path. Only a
+// definite "no such file" counts as absent: any other stat failure is
+// returned, so a path that could not be examined is never taken for a
+// fresh start and formatted over.
+func imageExists(path string) (bool, error) {
+	_, err := os.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("server: %w", err)
+	}
+	return true, nil
 }
 
 // WALPath names the write-ahead journal that extends the image at
@@ -434,8 +455,12 @@ func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 	if path == "" {
 		return nil, fmt.Errorf("server: a durable store needs an image path")
 	}
+	exists, err := imageExists(path)
+	if err != nil {
+		return nil, err
+	}
 	var st *Store
-	if _, err := os.Stat(path); err == nil {
+	if exists {
 		st, err = openImage(path, WALPath(path))
 		if err != nil {
 			return nil, err

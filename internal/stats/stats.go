@@ -132,8 +132,8 @@ type Bucket struct {
 }
 
 // histogramJSON is the wire form of a Histogram: a human-readable
-// summary plus the exact state (buckets, sum, max) needed to rebuild
-// the distribution losslessly on unmarshal.
+// summary plus the exact state (buckets, sum, max) a reader needs to
+// rebuild the distribution.
 type histogramJSON struct {
 	Count   int64    `json:"count"`
 	MeanNS  float64  `json:"mean_ns"`
@@ -146,8 +146,8 @@ type histogramJSON struct {
 }
 
 // MarshalJSON encodes the distribution as a summary plus the non-empty
-// buckets, the form the CSV export embeds per measurement row and the
-// experiment result cache stores. UnmarshalJSON inverts it exactly.
+// buckets, the form the CSV export embeds per measurement row and
+// ptmserve's /snapshot document carries.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
 	var buckets []Bucket
 	for i, c := range h.counts {
@@ -160,29 +160,6 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 		P50NS: h.Percentile(50), P95NS: h.Percentile(95), P99NS: h.Percentile(99),
 		MaxNS: h.max, SumNS: h.sum, Buckets: buckets,
 	})
-}
-
-// UnmarshalJSON rebuilds the histogram from its MarshalJSON form. The
-// round trip is exact: counts, sum, and max are restored verbatim, so
-// every percentile and the re-marshalled bytes come out identical —
-// the property the content-addressed result cache relies on.
-func (h *Histogram) UnmarshalJSON(data []byte) error {
-	var w histogramJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*h = Histogram{total: w.Count, sum: w.SumNS, max: w.MaxNS}
-	for _, b := range w.Buckets {
-		if b.LoNS < 0 {
-			return fmt.Errorf("stats: negative bucket bound %d", b.LoNS)
-		}
-		i := bits.Len64(uint64(b.LoNS)) // inverse of LoNS = 1<<i>>1
-		if i >= Buckets {
-			return fmt.Errorf("stats: bucket bound %d out of range", b.LoNS)
-		}
-		h.counts[i] = b.Count
-	}
-	return nil
 }
 
 // String summarizes the distribution.

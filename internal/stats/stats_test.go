@@ -205,51 +205,6 @@ func TestHugeSampleClamps(t *testing.T) {
 	}
 }
 
-func TestHistogramJSONRoundTrip(t *testing.T) {
-	var h Histogram
-	for _, ns := range []int64{0, 1, 3, 7, 100, 1023, 1024, 99999, 1 << 40} {
-		h.Record(ns)
-		h.Record(ns)
-	}
-	b1, err := json.Marshal(&h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g Histogram
-	if err := json.Unmarshal(b1, &g); err != nil {
-		t.Fatal(err)
-	}
-	if g != h {
-		t.Fatalf("round trip changed state:\n got %+v\nwant %+v", g, h)
-	}
-	b2, err := json.Marshal(&g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b1) != string(b2) {
-		t.Fatalf("re-marshal differs:\n%s\n%s", b1, b2)
-	}
-	for _, p := range []float64{50, 95, 99, 100} {
-		if g.Percentile(p) != h.Percentile(p) {
-			t.Fatalf("p%.0f differs after round trip", p)
-		}
-	}
-}
-
-func TestHistogramJSONRoundTripEmpty(t *testing.T) {
-	var h, g Histogram
-	b, err := json.Marshal(&h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &g); err != nil {
-		t.Fatal(err)
-	}
-	if g != h {
-		t.Fatalf("empty round trip changed state")
-	}
-}
-
 func TestQuantileAccessorsEmpty(t *testing.T) {
 	var h Histogram
 	if h.P50() != 0 || h.P90() != 0 || h.P99() != 0 {
