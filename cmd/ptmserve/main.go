@@ -61,14 +61,10 @@ import (
 	"goptm/internal/server/loadsim"
 )
 
-// Fixed, not flags: no caller, benchmark or CI step ever set them. The
-// loadsim keyspace shape (4096 keys x 64 B values, 50 % sets) is
-// likewise loadsim.Config's zero-value default.
-const (
-	flightSlots = 4096 // flight-recorder ring, mirrored to <image>.flight
-	traceSeed   = 1    // request-sampling seed under -trace
-)
-
+// Fixed, not flags: no caller, benchmark or CI step ever set them —
+// the flight ring's size (server.FlightSlots) and the loadsim keyspace
+// shape (4096 keys x 64 B values, 50 % sets, loadsim.Config's
+// zero-value default).
 func main() {
 	listen := flag.String("listen", ":11211", "TCP listen address (server mode)")
 	image := flag.String("image", "", "NVM media image file: reopened on start if present, saved on shutdown")
@@ -90,8 +86,7 @@ func main() {
 	batches := flag.String("batches", "1,8", "loadsim: comma-separated batch sizes to sweep")
 
 	telemetry := flag.String("telemetry", "", "server mode: serve /metrics (Prometheus text), /snapshot (JSON), and /healthz on this loopback address; empty (the default) disables")
-	tracePath := flag.String("trace", "", "write a Perfetto-JSON trace here on exit: sampled request-lifecycle chains (server mode on wall time, loadsim on virtual time)")
-	traceSample := flag.Int("tracesample", 64, "with -trace: sample ~1 in N requests through the lifecycle span chain (1 = every request)")
+	tracePath := flag.String("trace", "", "write a Perfetto-JSON trace here on exit: the flight ring's request-lifecycle chains, the newest 4096 completions (server mode on wall time; loadsim on virtual time, per batch size)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -118,8 +113,8 @@ func main() {
 			sizes = append(sizes, n)
 		}
 		// One recorder across the whole batch sweep: runs are
-		// sequential, so the exported trace carries every sweep's
-		// sampled chains on the shared virtual timeline.
+		// sequential, so the exported trace carries every batch size's
+		// chains on the shared virtual timeline.
 		var rec *obs.Recorder
 		if *tracePath != "" {
 			rec = obs.New(*shards+1, true)
@@ -128,7 +123,7 @@ func main() {
 			Algo: algo, Domain: domain, Shards: *shards,
 			Rate: *rate, Requests: *requests, Seed: *seed, Warmup: *warmup,
 			BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-			Recorder: rec, TraceSample: *traceSample, TraceSeed: traceSeed,
+			Recorder: rec,
 		}, sizes)
 		if err != nil {
 			fail(err)
@@ -165,22 +160,22 @@ func main() {
 		}
 	}
 
-	// Request-lifecycle tracing rides a standalone recorder (machine
-	// spans stay off); stamps are wall-clock because TCP requests live
-	// on host time.
+	// The flight ring is the one per-request record: with -image it is
+	// mirrored to a sidecar so a SIGKILLed process still leaves its last
+	// pre-kill window behind; with -trace its chains (wall-clock, since
+	// TCP requests live on host time) are exported at shutdown through a
+	// standalone recorder, so machine spans stay off.
 	var rec *obs.Recorder
 	if *tracePath != "" {
 		rec = obs.New(1, true)
 	}
-	// The flight recorder mirrors a sidecar next to the image so a
-	// SIGKILLed process still leaves its last pre-kill window behind.
 	var fr *server.FlightRecorder
-	if *image != "" {
-		fr = server.NewFlightRecorder(flightSlots)
+	if *image != "" || rec != nil {
+		fr = server.NewFlightRecorder(server.FlightSlots)
 	}
 	defer func() {
-		// A panicking server still dumps the ring: the sidecar is the
-		// only testimony a crashed process leaves.
+		// A panic on this goroutine — the shutdown path below — still
+		// dumps the ring (a shard worker's panic dumps it itself).
 		if r := recover(); r != nil {
 			fr.Dump()
 			panic(r)
@@ -190,13 +185,12 @@ func main() {
 	exec := server.NewExecutor(st, server.ExecConfig{
 		Shards: *shards, QueueDepth: *queueDepth, MaxBatch: *maxBatch,
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
-		IdleSleep:   50 * time.Microsecond,
-		DurableAck:  journaled,
-		TraceSample: *traceSample, TraceSeed: traceSeed,
-		WallClock: true, TraceRecorder: rec,
-		Flight: fr,
+		IdleSleep:  50 * time.Microsecond,
+		DurableAck: journaled,
+		WallClock:  true,
+		Flight:     fr,
 	})
-	if fr != nil {
+	if *image != "" {
 		fr.StartMirror(server.FlightPath(*image), 0, exec.Snapshot)
 	}
 	ln, err := net.Listen("tcp", *listen)
@@ -225,6 +219,7 @@ func main() {
 	// state; only then does the telemetry listener close — a scraper
 	// polling through the drain never sees a half-stopped plane.
 	if rec != nil {
+		fr.Export(rec)
 		if err := rec.WriteTraceFile(*tracePath); err != nil {
 			fmt.Fprintf(os.Stderr, "ptmserve: trace export: %v\n", err)
 		} else {

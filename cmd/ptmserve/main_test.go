@@ -14,7 +14,8 @@ import (
 // feedback controller and ran its acceptance sweep must be rejected as
 // unknown, not silently accepted and ignored. So must the five knobs
 // nobody set, which became constants (loadsim keyspace shape, flight
-// ring size, trace sampling seed).
+// ring size, trace sampling seed), and the request sampler's rate:
+// -trace exports the flight ring, every request, unsampled.
 func TestControllerFlagsAreGone(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ptmserve")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -22,7 +23,7 @@ func TestControllerFlagsAreGone(t *testing.T) {
 	}
 	// Spelled in halves so a grep for the retired names finds nothing.
 	for _, name := range []string{"-adap" + "tive", "-rate" + "sweep", "-sta" + "tic", "-sweep" + "json", "-jo" + "bs",
-		"-ke" + "ys", "-val" + "ue", "-se" + "ts", "-fli" + "ght", "-trace" + "seed"} {
+		"-ke" + "ys", "-val" + "ue", "-se" + "ts", "-fli" + "ght", "-trace" + "seed", "-trace" + "sample"} {
 		cmd := exec.Command(bin, name+"=1")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

@@ -186,8 +186,7 @@ type Recorder struct {
 
 	mu       sync.Mutex
 	shared   []counterSample
-	requests []ReqRecord // ring of the newest maxRequests, see Request
-	oldest   int         // index of the oldest record once the ring is full
+	requests []ReqRecord // request-lifecycle chains, see Request
 }
 
 // New builds a recorder for threads workers. With trace set, all span,

@@ -1,5 +1,7 @@
 package obs
 
+import "slices"
+
 // Request-lifecycle records: the serving path's per-request span
 // chain. Where the Phase taxonomy decomposes one *transaction*, a
 // ReqRecord decomposes one *served request* — from wire parse (or
@@ -12,16 +14,18 @@ package obs
 // observability work exists for ("is p99 queue wait or journal
 // flush?").
 //
-// Timestamps are whatever clock the executor's tracer runs on:
-// virtual nanoseconds under loadsim/lockstep, host nanoseconds since
-// the tracer's epoch for the real TCP server. The trace exporter does
-// not care — both render as one timeline.
+// Timestamps are whatever clock the executor's lifecycle stamps run
+// on: virtual nanoseconds under loadsim/lockstep, host nanoseconds
+// since executor start for the real TCP server. The trace exporter
+// does not care — both render as one timeline. The records themselves
+// are the server's flight-ring records (server.FlightRecord.Chain),
+// handed over once the run has drained.
 
 // ReqPhase identifies one slice of a served request's lifecycle.
 type ReqPhase uint8
 
 const (
-	ReqParse   ReqPhase = iota // wire parse / loadsim arrival generation
+	ReqParse   ReqPhase = iota // wire parse / loadsim arrival: zero-width, the chain starts at enqueue
 	ReqQueue                   // shard-queue wait: enqueue → pop
 	ReqBatch                   // batch formation: pop → transaction start (group-commit window)
 	ReqExecute                 // batched transaction: begin → commit returned
@@ -45,55 +49,29 @@ func (p ReqPhase) String() string {
 	return "req-phase?"
 }
 
-// ReqRecord is one sampled request's lifecycle. TS[0] is the parse
+// ReqRecord is one served request's lifecycle. TS[0] is the parse
 // start and TS[i+1] the end of phase ReqPhase(i): zero-width phases
 // are legal (a read batch has an empty drain/journal interval) and
 // the phase durations always sum to TS[NumReqPhases]-TS[0], the
 // request's end-to-end latency.
 type ReqRecord struct {
-	ID    uint64 // arrival index from the executor's sampler
+	ID    uint64 // the flight record's completion sequence number
 	Shard int32
 	Op    uint8 // server.Op value; opaque to this package
 	Shed  bool  // deadline-shed at pop: TS[2:] collapse to the shed instant
 	TS    [NumReqPhases + 1]int64
 }
 
-// Stamp sets boundary i to ts, clamped so boundaries never regress.
-// The clamp matters under lockstep: a shard thread whose clock trails
-// the submitting thread's can pop a request at a virtual time before
-// its enqueue stamp, and a negative-width phase would break the
-// telescoping-durations property. Clamping charges such a phase zero
-// time instead.
-func (q *ReqRecord) Stamp(i int, ts int64) {
-	if i > 0 && ts < q.TS[i-1] {
-		ts = q.TS[i-1]
-	}
-	q.TS[i] = ts
-}
-
-// maxRequests bounds the retained request records: a long-running
-// `ptmserve -trace` keeps the newest maxRequests and forgets the rest.
-// Every deterministic run in the repository (loadsim, the CI trace
-// step, the golden trace) samples fewer than this and so keeps every
-// chain.
-const maxRequests = 1 << 16
-
-// Request retains one completed request-lifecycle record, displacing
-// the oldest once maxRequests are held. Safe on a nil receiver and on
-// recorders built without tracing (both no-op), and safe for
-// concurrent use — shard workers finish requests concurrently on the
-// TCP server.
+// Request retains one completed request-lifecycle record. The bound
+// lives upstream, in the server's flight ring, which hands over at
+// most its own capacity. Safe on a nil receiver and on recorders built
+// without tracing (both no-op), and safe for concurrent use.
 func (r *Recorder) Request(rec ReqRecord) {
 	if r == nil || !r.tracing {
 		return
 	}
 	r.mu.Lock()
-	if len(r.requests) < maxRequests {
-		r.requests = append(r.requests, rec)
-	} else {
-		r.requests[r.oldest] = rec
-		r.oldest = (r.oldest + 1) % maxRequests
-	}
+	r.requests = append(r.requests, rec)
 	r.mu.Unlock()
 }
 
@@ -104,9 +82,6 @@ func (r *Recorder) Requests() []ReqRecord {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]ReqRecord, 0, len(r.requests))
-	out = append(out, r.requests[r.oldest:]...)
-	out = append(out, r.requests[:r.oldest]...)
-	r.mu.Unlock()
-	return out
+	defer r.mu.Unlock()
+	return slices.Clone(r.requests)
 }

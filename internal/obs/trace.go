@@ -64,7 +64,7 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			e.counter(c)
 		}
 		// The request-lifecycle process is emitted only when records
-		// exist: a recorder with no sampled requests produces exactly the
+		// exist: a recorder with no request records produces exactly the
 		// bytes it did before this process existed (the golden file pins
 		// them).
 		if len(requests) > 0 {

@@ -20,12 +20,12 @@ import (
 )
 
 // TestCompletionRecordEveryPath drives an executed batch, a pop-time
-// shed and a Drain sweep through one executor with every observer
-// attached — request tracer, flight ring — on a DurableAck store, and
-// holds the completion record to its contract:
-// every completed request yields exactly one flight record and one
-// 8-boundary chain that telescopes to that record's latency, and no
-// Done closes before the journal flush returns.
+// shed and a Drain sweep through one executor with the flight ring
+// attached on a DurableAck store, and holds the completion record to
+// its contract: every completed request yields exactly one flight
+// record whose 8-boundary chain never runs backwards and telescopes to
+// the request's end-to-end latency, and no Done closes before the
+// journal flush returns.
 func TestCompletionRecordEveryPath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kv.img")
 	st, err := OpenDurable(path, StoreConfig{Shards: 1})
@@ -38,20 +38,18 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 			panic(core.PowerFailure{Point: p})
 		}
 	})
-	rec := obs.New(1, true)
 	ring := NewFlightRecorder(4096)
 	// IdleSleep keeps virtual time (200 ns per idle poll) far slower
 	// than host time, so only the deliberately stale arrival can age
 	// past the deadline between its enqueue stamp and its pop.
 	exec := NewExecutor(st, ExecConfig{
-		DeadlineNS: 100_000, IdleSleep: 20 * time.Microsecond, DurableAck: true,
-		TraceSample: 1, TraceRecorder: rec, Flight: ring,
+		DeadlineNS: 100_000, IdleSleep: 20 * time.Microsecond, DurableAck: true, Flight: ring,
 	})
 	met := st.TM().Metrics()
 
-	// send submits one traced request. Arrival and enqueue coincide (as
-	// in loadsim), so a chain's end-to-end time is exactly the request's
-	// virtual latency. sent is in tracer arrival order: sent[chain.ID].
+	// send submits one request, stamped at the worker's published clock
+	// unless enqVT says otherwise. Arrival and enqueue coincide (as in
+	// loadsim), so on virtual time a record's TS[0] is its EnqVT.
 	var sent []*Request
 	send := func(op Op, key string, enqVT int64) *Request {
 		t.Helper()
@@ -59,7 +57,6 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 			enqVT = exec.LastVT()
 		}
 		req := &Request{Op: op, Key: []byte(key), Value: []byte("v"), EnqVT: enqVT, Done: make(chan struct{})}
-		req.Trace = exec.TraceStart(enqVT)
 		if !exec.Submit(req) {
 			t.Fatalf("submit of %q rejected", key)
 		}
@@ -95,8 +92,8 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 		t.Fatal("Done closed before the journal flush returned")
 	default:
 	}
-	if ring.Seq() != 0 || len(rec.Requests()) != 0 {
-		t.Fatalf("record emitted inside the barrier: %d flight records, %d chains", ring.Seq(), len(rec.Requests()))
+	if ring.Seq() != 0 {
+		t.Fatalf("record emitted inside the barrier: %d flight records", ring.Seq())
 	}
 	st.flushMu.Unlock()
 	await(first)
@@ -157,85 +154,121 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 	default:
 	}
 
-	// Exactly one flight record and one chain per completed request —
-	// everything sent but the victim.
+	// Exactly one flight record per completed request — everything sent
+	// but the victim — each describing its request: op, flags, and on
+	// virtual time an enqueue boundary equal to EnqVT.
 	completed := len(sent) - 1
 	records := ring.Snapshot()
 	if len(records) != completed || ring.Seq() != uint64(completed) {
 		t.Fatalf("%d flight records (seq %d) for %d completed requests", len(records), ring.Seq(), completed)
 	}
-	var flightLat []int64
-	sheds, errs := 0, 0
-	for _, r := range records {
-		flightLat = append(flightLat, r.LatNS)
-		if r.Shed {
-			sheds++
-		}
-		if r.Err {
-			errs++
-		}
-		if r.LatNS != r.DoneVT-r.EnqVT || r.LatNS < 0 {
-			t.Fatalf("flight record latency does not match its stamps: %+v", r)
+	var want, got []string
+	for _, req := range sent {
+		if req != victim {
+			want = append(want, fmt.Sprintf("op%d@%d shed=%v err=%v", req.Op, req.EnqVT, req.Shed, req.Err != nil))
 		}
 	}
-	if sheds != 1 || errs != len(swept) {
-		t.Fatalf("flight ring has %d shed / %d err records, want 1 / %d", sheds, errs, len(swept))
-	}
-
-	chains := rec.Requests()
-	if len(chains) != completed {
-		t.Fatalf("%d chains for %d completed requests", len(chains), completed)
-	}
-	seen := map[uint64]bool{}
-	var chainLat []int64
+	var executedNS int64
 	drained := false
-	for _, q := range chains {
-		if seen[q.ID] || q.ID >= uint64(len(sent)) {
-			t.Fatalf("chain id %d duplicated or unknown", q.ID)
-		}
-		seen[q.ID] = true
-		req := sent[q.ID]
-		if req == victim {
-			t.Fatal("the cut request produced a chain")
-		}
-		for p := 0; p < int(obs.NumReqPhases); p++ {
-			if q.TS[p+1] < q.TS[p] {
-				t.Fatalf("req %q: boundary %d goes backwards: %v", req.Key, p, q.TS)
-			}
-		}
-		if q.TS[0] != req.EnqVT || q.Op != uint8(req.Op) || q.Shed != (req == stale) {
-			t.Fatalf("req %q: chain does not describe it: %+v", req.Key, q)
-		}
-		if req.Shed || req.Err == ErrDraining {
-			// Never executed: the lifecycle ends at one instant.
+	for _, r := range records {
+		got = append(got, fmt.Sprintf("op%d@%d shed=%v err=%v", r.Op, r.TS[0], r.Shed, r.Err))
+		checkChain(t, r)
+		if r.Shed || r.Err {
+			// Never executed: the lifecycle ends at the pop instant.
 			for p := 3; p <= int(obs.NumReqPhases); p++ {
-				if q.TS[p] != q.TS[2] {
-					t.Fatalf("req %q: dropped request has a %s phase: %v", req.Key, obs.ReqPhase(p-1), q.TS)
+				if r.TS[p] != r.TS[2] {
+					t.Fatalf("dropped request has a %s phase: %+v", obs.ReqPhase(p-1), r)
 				}
 			}
-		} else if req.Op == OpSet && q.TS[5] > q.TS[4] {
+			continue
+		}
+		executedNS += r.TS[obs.NumReqPhases] - r.TS[0]
+		if r.Op == uint8(OpSet) && r.TS[5] > r.TS[4] {
 			drained = true
 		}
-		chainLat = append(chainLat, q.TS[obs.NumReqPhases]-q.TS[0])
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	if !slices.Equal(want, got) {
+		t.Fatalf("flight records do not describe the completed requests:\nrecords  %v\nrequests %v", got, want)
 	}
 	if !drained {
 		t.Fatal("no executed write shows a WPQ-drain phase: the barrier boundaries were not stamped as they happened")
 	}
-	// Chains and flight records describe the same completions: the two
-	// latency multisets coincide.
-	slices.Sort(flightLat)
-	slices.Sort(chainLat)
-	if !slices.Equal(flightLat, chainLat) {
-		t.Fatalf("chain end-to-end times do not telescope to the flight latencies:\nchains %v\nflight %v", chainLat, flightLat)
-	}
 
-	// The shard stats consumed the same records.
+	// The shard stats consumed the same records: the executed chains'
+	// end-to-end times add up to exactly the latency histogram's sum.
 	snap := exec.Snapshot()
 	if got, want := snap.Executed(), int64(completed-1-len(swept)); got != want {
 		t.Fatalf("executed = %d, want %d", got, want)
 	}
+	if snap.Latency.Sum() != executedNS {
+		t.Fatalf("executed chains span %d ns end to end, the latency histogram %d", executedNS, snap.Latency.Sum())
+	}
 	if snap.AckBarrier.Count() == 0 || snap.Shed() != 1 || snap.FlightSeq != ring.Seq() {
 		t.Fatalf("snapshot missed the records: %d barriers, %d shed, flight seq %d", snap.AckBarrier.Count(), snap.Shed(), snap.FlightSeq)
+	}
+}
+
+// checkChain holds one flight record's chain to the lifecycle
+// contract: parse is zero-width, no boundary runs backwards, and the
+// seven phase widths telescope to the end-to-end time.
+func checkChain(t *testing.T, r FlightRecord) {
+	t.Helper()
+	if r.TS[1] != r.TS[0] {
+		t.Fatalf("record %d: req-parse is not zero-width: %v", r.Seq, r.TS)
+	}
+	var sum int64
+	for p := 0; p < int(obs.NumReqPhases); p++ {
+		if r.TS[p+1] < r.TS[p] {
+			t.Fatalf("record %d: boundary %d goes backwards: %v", r.Seq, p, r.TS)
+		}
+		sum += r.TS[p+1] - r.TS[p]
+	}
+	if e2e := r.TS[obs.NumReqPhases] - r.TS[0]; sum != e2e || e2e < 0 {
+		t.Fatalf("record %d: phases sum to %d, end-to-end is %d", r.Seq, sum, e2e)
+	}
+}
+
+// TestCompletionRecordWallClock: under WallClock — the TCP server's
+// setting — the same chain runs on host ns since executor start. Every
+// boundary lies inside the host interval the test observed, and an
+// executed durable write shows the barrier in host time.
+func TestCompletionRecordWallClock(t *testing.T) {
+	st, err := OpenDurable(filepath.Join(t.TempDir(), "kv.img"), StoreConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := NewFlightRecorder(64)
+	start := time.Now()
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, IdleSleep: 20 * time.Microsecond, DurableAck: true, WallClock: true, Flight: ring})
+	const n = 16
+	for i := 0; i < n; i++ {
+		op := OpSet
+		if i%2 == 1 {
+			op = OpGet
+		}
+		submit(t, exec, &Request{Op: op, Key: fmt.Appendf(nil, "w%d", i), Value: []byte("v")})
+	}
+	exec.Drain()
+	elapsed := int64(time.Since(start))
+
+	records := ring.Snapshot()
+	if len(records) != n {
+		t.Fatalf("%d flight records for %d requests", len(records), n)
+	}
+	barrier := false
+	for _, r := range records {
+		checkChain(t, r)
+		if r.TS[0] < 0 || r.TS[obs.NumReqPhases] > elapsed {
+			t.Fatalf("record %d: chain %v outside the host interval [0, %d]", r.Seq, r.TS, elapsed)
+		}
+		if r.Op == uint8(OpSet) && r.TS[6] > r.TS[4] {
+			barrier = true
+		}
+	}
+	if !barrier {
+		t.Fatal("no durable write shows its drain+journal barrier in host time")
 	}
 }
 

@@ -66,12 +66,9 @@ type Request struct {
 	// Done makes the request fire-and-forget.
 	Done chan struct{}
 
-	// Trace carries the request-lifecycle stamps when this request was
-	// sampled (Executor.TraceStart); the executor fills the queue, pop,
-	// execute, drain, journal, and ack boundaries and hands the
-	// completed record to the obs recorder. Nil — the common case —
-	// costs one pointer check per stamping site.
-	Trace *obs.ReqRecord
+	// Lifecycle-clock stamps (Executor.clock) for the flight record's
+	// chain: enqueued by Submit, dequeued by the pop that took it.
+	enq, pop int64
 
 	// Results, valid once Done is closed.
 	Found    bool   // get/delete/incr: key existed
@@ -121,24 +118,11 @@ type ExecConfig struct {
 	// timeline, which would shift loadsim's pinned latency curves.
 	DurableAck bool
 
-	// TraceSample enables request-lifecycle tracing: ~1 in TraceSample
-	// submitted requests is stamped through the parse→queue→batch→
-	// execute→drain→journal→ack chain and retained by the obs recorder
-	// (1 samples everything; 0, the default, disables sampling — the
-	// zero-overhead path). Sampling requires a tracing recorder:
-	// TraceRecorder if set, else the store machine's.
-	TraceSample int
-	// TraceSeed seeds the deterministic sampling hash; a fixed (seed,
-	// sample) pair picks the same arrivals on every run.
-	TraceSeed uint64
-	// WallClock stamps lifecycle records with host time instead of the
-	// shard's virtual clock — the TCP server sets it (its requests live
-	// on wall time); loadsim leaves it off.
+	// WallClock runs the lifecycle clock — the flight records' chains —
+	// on host ns since executor start instead of the shards' virtual
+	// clocks: the TCP server sets it (its requests live on wall time);
+	// loadsim leaves it off.
 	WallClock bool
-	// TraceRecorder overrides the machine's recorder for request
-	// records only — the TCP server uses a standalone recorder so
-	// request tracing doesn't force machine-wide span retention.
-	TraceRecorder *obs.Recorder
 	// Flight, when non-nil, receives a FlightRecord for every request
 	// completion (executed, shed, or swept at drain).
 	Flight *FlightRecorder
@@ -209,20 +193,21 @@ const (
 // completion is the one record every finished group of requests
 // produces — an executed batch, the requests one pop shed, or Drain's
 // leftover sweep — and the only thing the observers (shard stats,
-// request tracer, flight ring, metrics) ever see. The per-request
-// shed/err flags ride on the members themselves.
+// flight ring, metrics) ever see. The per-request shed/err flags and
+// enqueue/pop stamps ride on the members themselves.
 type completion struct {
 	kind    batchKind
 	shard   int
 	members []*Request
 	// Lifecycle-clock boundaries (Executor.clock: virtual ns, host ns
-	// under WallClock), the tracer's TS[3..6]: the batch closed and its
-	// transaction began, the transaction returned, the WPQ drained onto
-	// media, the journal flushed. A batch with no barrier — and every
-	// shed or swept one — collapses the later ones onto the earlier.
-	closed, ran, drained, flushed int64
-	end                           int64 // shard virtual clock at completion
-	barrierNS                     int64 // durable-ack barrier host time; 0 when none ran
+	// under WallClock), a flight record's TS[3..7]: the batch closed and
+	// its transaction began, the transaction returned, the WPQ drained
+	// onto media, the journal flushed, the members were acknowledged. A
+	// batch with no barrier — and every shed or swept one — collapses
+	// the later ones onto the earlier.
+	closed, ran, drained, flushed, acked int64
+	end                                  int64 // shard virtual clock at completion
+	barrierNS                            int64 // durable-ack barrier host time; 0 when none ran
 }
 
 // Executor shards the store's keyspace and drains each shard's queue
@@ -236,8 +221,7 @@ type Executor struct {
 
 	shards []*shard
 	queued atomic.Int64 // across all shards, for the queue-depth track
-
-	tracer *reqTracer // request-lifecycle sampling; nil when disabled
+	epoch  time.Time    // WallClock's lifecycle-clock zero
 
 	inputsDone atomic.Bool
 	draining   atomic.Bool
@@ -254,12 +238,8 @@ func NewExecutor(st *Store, cfg ExecConfig) *Executor {
 		met:    st.tm.Metrics(),
 		rec:    st.tm.Recorder(),
 		shards: make([]*shard, cfg.Shards),
+		epoch:  time.Now(),
 	}
-	traceRec := cfg.TraceRecorder
-	if traceRec == nil {
-		traceRec = st.tm.Recorder()
-	}
-	e.tracer = newReqTracer(traceRec, cfg.TraceSample, cfg.TraceSeed, cfg.WallClock)
 	e.wg.Add(cfg.Shards)
 	for i := range e.shards {
 		s := &shard{id: i}
@@ -293,11 +273,7 @@ func (e *Executor) Submit(req *Request) bool {
 	if req.EnqVT == 0 {
 		req.EnqVT = s.lastVT.Load()
 	}
-	if req.Trace != nil {
-		req.Trace.Shard = int32(s.id)
-		req.Trace.Op = uint8(req.Op)
-		req.Trace.Stamp(1, e.clock(req.EnqVT))
-	}
+	req.enq = e.clock(req.EnqVT)
 	s.mu.Lock()
 	if len(s.queue)-s.head >= e.cfg.QueueDepth {
 		s.mu.Unlock()
@@ -311,19 +287,15 @@ func (e *Executor) Submit(req *Request) bool {
 	return true
 }
 
-// TraceStart makes the request-lifecycle sampling decision for one
-// arriving request: nil (not sampled, or tracing off — the common,
-// allocation-free case) or a record with the parse boundary stamped.
-// Frontends call it where the request enters the system — the TCP
-// parser at command parse, loadsim at arrival generation — assign the
-// result to Request.Trace, and Submit plus the shard worker fill the
-// remaining boundaries. vt is the caller's virtual clock; ignored
-// under WallClock.
-func (e *Executor) TraceStart(vt int64) *obs.ReqRecord { return e.tracer.start(vt) }
-
 // clock maps virtual time vt onto the lifecycle clock the boundary
-// stamps run on: vt itself, or host ns when tracing under WallClock.
-func (e *Executor) clock(vt int64) int64 { return e.tracer.now(vt) }
+// stamps run on: vt itself, or host ns since executor start under
+// WallClock.
+func (e *Executor) clock(vt int64) int64 {
+	if e.cfg.WallClock {
+		return int64(time.Since(e.epoch))
+	}
+	return vt
+}
 
 // popLive removes queued requests from shard s until it has gathered
 // up to max live ones, shedding any that aged past deadline *at pop
@@ -333,12 +305,11 @@ func (e *Executor) clock(vt int64) int64 { return e.tracer.now(vt) }
 func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Request) {
 	shed, live := s.shedBuf[:0], 0
 	s.mu.Lock()
+	t := e.clock(now) // under the lock: after any enqueue stamp it pops
 	for s.head < len(s.queue) && live < max {
 		req := s.queue[s.head]
 		s.head++
-		if req.Trace != nil {
-			req.Trace.Stamp(2, e.clock(now))
-		}
+		req.pop = t
 		if deadline > 0 && now-req.EnqVT > deadline {
 			req.Shed = true
 			shed = append(shed, req)
@@ -376,9 +347,13 @@ func (e *Executor) runShard(s *shard, th *core.Thread) {
 	// never complete — their durability is decided by recovery. The
 	// clock stamp matters: Crash(vt) replays the device's pending
 	// queue only up to vt, so the failure instant must be recorded.
+	// Any other panic kills the process from this goroutine, before the
+	// owner's defers can run: dump the flight ring first, so the sidecar
+	// still testifies to what was acked.
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(core.PowerFailure); !ok {
+				e.cfg.Flight.Dump()
 				panic(r)
 			}
 			s.lastVT.Store(th.Now())
@@ -486,12 +461,13 @@ func (e *Executor) begin(s *shard, kind batchKind, members []*Request, now int64
 	return &s.done
 }
 
-// complete fans one record out to every observer — each nil-safe, each
-// one call — and only then releases the members to their submitters.
-// Nothing here advances a simulated clock or allocates.
+// complete stamps the ack boundary, fans one record out to every
+// observer — each nil-safe, each one call — and only then releases the
+// members to their submitters. Nothing here advances a simulated clock
+// or allocates.
 func (e *Executor) complete(s *shard, d *completion) {
+	d.acked = e.clock(d.end)
 	e.account(s, d)
-	e.tracer.observe(d)
 	e.cfg.Flight.observe(d)
 	for _, req := range d.members {
 		if req.Done != nil {

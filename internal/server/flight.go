@@ -5,18 +5,21 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"goptm/internal/obs"
 )
 
-// The flight recorder answers the question the soak harness's SIGKILL
-// leaves open: what was the server doing in the seconds before it
-// died? A killed process can't be asked, so the recorder keeps a
-// fixed-size ring of recent completed-request records plus a short
-// series of counter samples, and a mirror goroutine
-// periodically rewrites a JSON sidecar next to the image (tmp+rename,
-// so the sidecar is never torn). After the kill, ptmsoak harvests the
-// sidecar and attaches the tail to its verdict — an oracle violation
-// then carries the last pre-kill window of telemetry instead of just
-// a key name.
+// The flight recorder is the serving layer's one per-request record.
+// It answers the question the soak harness's SIGKILL leaves open: what
+// was the server doing in the seconds before it died? A killed process
+// can't be asked, so the recorder keeps a fixed-size ring of recent
+// completed-request records plus a short series of counter samples,
+// and a mirror goroutine periodically rewrites a JSON sidecar next to
+// the image (tmp+rename, so the sidecar is never torn). After the
+// kill, ptmsoak harvests the sidecar and attaches the tail to its
+// verdict — an oracle violation then carries the last pre-kill window
+// of telemetry instead of just a key name. The same retained records
+// are what -trace renders as Perfetto request lanes (Export).
 //
 // The ring is the dumbest correct one: a mutex. It is fed per batch —
 // the executor's completion record costs one lock acquisition and one
@@ -33,9 +36,19 @@ type FlightRecord struct {
 	Shard  uint16 `json:"shard"`
 	Shed   bool   `json:"shed,omitempty"` // deadline-shed, never executed
 	Err    bool   `json:"err,omitempty"`  // completed with a kv or durability error
-	EnqVT  int64  `json:"enq_vt"`         // virtual enqueue stamp
-	DoneVT int64  `json:"done_vt"`        // virtual completion stamp
-	LatNS  int64  `json:"lat_ns"`         // enqueue→completion, virtual ns
+	// TS is the request's lifecycle chain (obs.ReqRecord.TS) on the
+	// executor's lifecycle clock — virtual ns, or host ns since executor
+	// start under WallClock: enqueue (twice: parse is zero-width), pop,
+	// batch close, transaction return, WPQ drain, journal flush, ack.
+	// Boundaries never run backwards, so TS[7]-TS[0] is the end-to-end
+	// latency and the seven phase widths sum to it.
+	TS [obs.NumReqPhases + 1]int64 `json:"ts"`
+}
+
+// Chain returns the record as the request-lifecycle chain the obs
+// trace exporter renders, identified by its sequence number.
+func (r FlightRecord) Chain() obs.ReqRecord {
+	return obs.ReqRecord{ID: r.Seq, Shard: int32(r.Shard), Op: r.Op, Shed: r.Shed, TS: r.TS}
 }
 
 // FlightSample is one periodic counter observation the mirror loop
@@ -57,8 +70,11 @@ type FlightDump struct {
 	Samples []FlightSample `json:"samples"` // oldest→newest
 }
 
-// flightSchema versions the sidecar format.
-const flightSchema = 1
+// flightSchema versions the sidecar format (2: records carry ts).
+const flightSchema = 2
+
+// FlightSlots is the ring size ptmserve and traced loadsim runs use.
+const FlightSlots = 4096
 
 // maxFlightSamples bounds the counter-sample series the dump carries.
 const maxFlightSamples = 64
@@ -95,28 +111,9 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	return &FlightRecorder{slots: make([]FlightRecord, n), mask: uint64(n - 1)}
 }
 
-// put stores rec as the next record. The caller holds ringMu.
-func (f *FlightRecorder) put(rec FlightRecord, wallNS int64) {
-	f.seq++
-	rec.Seq, rec.WallNS = f.seq, wallNS
-	f.slots[f.seq&f.mask] = rec
-}
-
-// Record publishes one completed request into the ring. Safe from
-// concurrent writers, allocation-free, nil-safe.
-func (f *FlightRecorder) Record(rec FlightRecord) {
-	if f == nil {
-		return
-	}
-	wall := time.Now().UnixNano()
-	f.ringMu.Lock()
-	f.put(rec, wall)
-	f.ringMu.Unlock()
-}
-
 // observe publishes every member of a completion record — executed,
 // shed, or swept at drain — under one lock acquisition and one wall
-// stamp.
+// stamp. Safe from concurrent shard workers, allocation-free.
 func (f *FlightRecorder) observe(d *completion) {
 	if f == nil {
 		return
@@ -124,17 +121,34 @@ func (f *FlightRecorder) observe(d *completion) {
 	wall := time.Now().UnixNano()
 	f.ringMu.Lock()
 	for _, req := range d.members {
-		f.put(FlightRecord{
+		rec := FlightRecord{
+			WallNS: wall,
 			Op:     uint8(req.Op),
 			Shard:  uint16(d.shard),
 			Shed:   req.Shed,
 			Err:    req.Err != nil,
-			EnqVT:  req.EnqVT,
-			DoneVT: d.end,
-			LatNS:  d.end - req.EnqVT,
-		}, wall)
+			TS:     [...]int64{req.enq, req.enq, req.pop, d.closed, d.ran, d.drained, d.flushed, d.acked},
+		}
+		// Under lockstep a shard clock may trail the submitter's, so a
+		// pop can precede its enqueue stamp: clamp every boundary to its
+		// predecessor, charging such a phase zero width rather than
+		// breaking the telescoping chain.
+		for i := 1; i < len(rec.TS); i++ {
+			rec.TS[i] = max(rec.TS[i], rec.TS[i-1])
+		}
+		f.seq++
+		rec.Seq = f.seq
+		f.slots[f.seq&f.mask] = rec
 	}
 	f.ringMu.Unlock()
+}
+
+// Export hands every retained record's chain to rec, oldest first —
+// the -trace path, after the executor has drained. Nil-safe.
+func (f *FlightRecorder) Export(rec *obs.Recorder) {
+	for _, r := range f.Snapshot() {
+		rec.Request(r.Chain())
+	}
 }
 
 // Seq reports how many records have ever been written.

@@ -5,19 +5,30 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"goptm/internal/obs"
 )
+
+// oneRecord is a completion record carrying one request, every
+// lifecycle boundary at ts — what the executor hands the ring.
+func oneRecord(op Op, shard int, ts int64) *completion {
+	req := &Request{Op: op, enq: ts, pop: ts}
+	return &completion{shard: shard, members: []*Request{req},
+		closed: ts, ran: ts, drained: ts, flushed: ts, acked: ts}
+}
 
 // TestFlightNilSafety: a nil recorder is the disabled configuration —
 // every method no-ops.
 func TestFlightNilSafety(t *testing.T) {
 	var f *FlightRecorder
-	f.Record(FlightRecord{Op: 1})
+	f.observe(oneRecord(OpSet, 0, 1))
 	f.AddSample(FlightSample{})
 	f.StartMirror("/nonexistent/x", time.Millisecond, nil)
 	if err := f.Dump(); err != nil {
 		t.Fatalf("nil dump: %v", err)
 	}
 	f.Stop()
+	f.Export(obs.New(1, true))
 	if f.Seq() != 0 || f.Snapshot() != nil {
 		t.Fatal("nil recorder retained state")
 	}
@@ -27,11 +38,13 @@ func TestFlightNilSafety(t *testing.T) {
 }
 
 // TestFlightRingWrap: the ring keeps the newest records, as many as
-// its power-of-two capacity; older ones count as dropped.
+// its power-of-two capacity; older ones count as dropped. Export hands
+// exactly the survivors on, oldest first — the ring is the only bound
+// on a -trace file.
 func TestFlightRingWrap(t *testing.T) {
 	f := NewFlightRecorder(5) // rounds up to 8
 	for i := 0; i < 20; i++ {
-		f.Record(FlightRecord{Op: uint8(i), LatNS: int64(i)})
+		f.observe(oneRecord(Op(i%4), i%3, int64(i)))
 	}
 	recs := f.Snapshot()
 	if len(recs) != 8 {
@@ -44,9 +57,23 @@ func TestFlightRingWrap(t *testing.T) {
 		if r.WallNS == 0 {
 			t.Fatalf("record %d missing wall stamp", i)
 		}
+		if want := int64(12 + i); r.TS[0] != want || r.TS[obs.NumReqPhases] != want {
+			t.Fatalf("record %d chain %v, want every boundary at %d", i, r.TS, want)
+		}
 	}
 	if f.Seq() != 20 {
 		t.Fatalf("seq = %d, want 20", f.Seq())
+	}
+	rec := obs.New(1, true)
+	f.Export(rec)
+	chains := rec.Requests()
+	if len(chains) != len(recs) {
+		t.Fatalf("exported %d chains, ring held %d", len(chains), len(recs))
+	}
+	for i, q := range chains {
+		if q != recs[i].Chain() || q.ID != recs[i].Seq {
+			t.Fatalf("chain %d is %+v, want record %+v", i, q, recs[i])
+		}
 	}
 }
 
@@ -55,6 +82,7 @@ func TestFlightRingWrap(t *testing.T) {
 // must not race: the per-slot seqlock this replaced did).
 func TestFlightConcurrentRecord(t *testing.T) {
 	f := NewFlightRecorder(64)
+	d := oneRecord(OpGet, 1, 7)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -66,7 +94,7 @@ func TestFlightConcurrentRecord(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					f.Record(FlightRecord{EnqVT: 7, DoneVT: 7})
+					f.observe(d)
 				}
 			}
 		}()
@@ -74,7 +102,7 @@ func TestFlightConcurrentRecord(t *testing.T) {
 	deadline := time.Now().Add(50 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for _, r := range f.Snapshot() {
-			if r.EnqVT != 7 || r.DoneVT != 7 {
+			if r.TS != [obs.NumReqPhases + 1]int64{7, 7, 7, 7, 7, 7, 7, 7} || r.Shard != 1 {
 				t.Errorf("torn record: %+v", r)
 			}
 		}
@@ -94,7 +122,7 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 		return Snapshot{QueueDepth: int64(n), Counters: map[string]int64{"commits": int64(n), "aborts": 0}}
 	})
 	for i := 0; i < 24; i++ {
-		f.Record(FlightRecord{Op: 2, Shard: uint16(i % 3), LatNS: 100})
+		f.observe(oneRecord(OpDelete, i%3, 100))
 	}
 	time.Sleep(10 * time.Millisecond)
 	f.Stop()
@@ -103,8 +131,8 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Schema != flightSchema {
-		t.Fatalf("schema = %d, want %d", d.Schema, flightSchema)
+	if d.Schema != flightSchema || flightSchema != 2 {
+		t.Fatalf("schema = %d, want 2", d.Schema)
 	}
 	if d.Seq != 24 || len(d.Records) != 16 {
 		t.Fatalf("seq=%d records=%d, want 24/16", d.Seq, len(d.Records))
@@ -116,6 +144,9 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 		if d.Records[i].Seq <= d.Records[i-1].Seq {
 			t.Fatalf("records not in sequence order at %d", i)
 		}
+	}
+	if last := d.Records[len(d.Records)-1]; last.TS[0] != 100 || last.TS[obs.NumReqPhases] != 100 || last.Op != uint8(OpDelete) {
+		t.Fatalf("record lost its chain in the round trip: %+v", last)
 	}
 	if len(d.Samples) == 0 || len(d.Samples) > maxFlightSamples {
 		t.Fatalf("samples = %d", len(d.Samples))
@@ -131,48 +162,33 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	f.Stop()
 }
 
-// TestDisabledPathZeroAlloc pins the acceptance requirement: with
-// sampling and the flight ring disabled, the per-request hooks cost
-// nil checks only, and the per-batch completion-record path — begin,
-// fan-out to every observer, release — allocates nothing either, with
-// everything off and with only the flight ring on.
+// TestDisabledPathZeroAlloc pins the acceptance requirement: the
+// per-request path (Submit, the pop) and the per-batch completion-record
+// path — begin, fan-out to every observer, release — allocate nothing,
+// with the flight ring off on virtual time and with it on under
+// WallClock, where every lifecycle stamp is a host-clock read.
 func TestDisabledPathZeroAlloc(t *testing.T) {
-	var f *FlightRecorder
-	var tr *reqTracer
-	req := &Request{}
-	allocs := testing.AllocsPerRun(200, func() {
-		f.Record(FlightRecord{})
-		if rec := tr.start(0); rec != nil {
-			req.Trace = rec
-		}
-		if tr.now(7) != 7 {
-			t.Fatal("nil tracer clock is not the identity")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled path allocates %.1f per op, want 0", allocs)
-	}
-	// The enabled ring write must not allocate either.
-	fr := NewFlightRecorder(32)
-	allocs = testing.AllocsPerRun(200, func() {
-		fr.Record(FlightRecord{Op: 1})
-	})
-	if allocs != 0 {
-		t.Fatalf("enabled ring write allocates %.1f per op, want 0", allocs)
-	}
-
-	members := []*Request{{Op: OpSet, EnqVT: 10}, {Op: OpGet, EnqVT: 20, Warmup: true}}
 	for _, ring := range []*FlightRecorder{nil, NewFlightRecorder(32)} {
-		e := &Executor{cfg: ExecConfig{Flight: ring}}
+		wall := ring != nil
 		s := &shard{id: 3}
+		e := &Executor{cfg: ExecConfig{QueueDepth: 8, Flight: ring, WallClock: wall}, shards: []*shard{s}, epoch: time.Now()}
+		members := []*Request{{Op: OpSet, EnqVT: 10}, {Op: OpGet, EnqVT: 20, Warmup: true}}
+		batch := make([]*Request, 0, len(members))
 		allocs := testing.AllocsPerRun(200, func() {
-			d := e.begin(s, batchExecuted, members, 100)
+			for _, req := range members {
+				if !e.Submit(req) {
+					t.Fatal("submit rejected")
+				}
+			}
+			batch = batch[:0]
+			s.popLive(e, len(members), 100, -1, &batch)
+			d := e.begin(s, batchExecuted, batch, 100)
 			d.barrierNS = 5
 			e.complete(s, d)
 			e.complete(s, e.begin(s, batchShed, members[:1], 100))
 		})
 		if allocs != 0 {
-			t.Fatalf("record path (flight ring on: %v) allocates %.1f per batch, want 0", ring != nil, allocs)
+			t.Fatalf("request + record path (flight ring on, WallClock: %v) allocates %.1f per batch, want 0", wall, allocs)
 		}
 		// The path ran for real: stats moved, and the ring (when on)
 		// holds one record per member, stamped from the record.
@@ -185,8 +201,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 			if want := uint64(3 * 201); ring.Seq() != want {
 				t.Fatalf("ring saw %d records, want %d", ring.Seq(), want)
 			}
-			if last.Shard != 3 || last.DoneVT != 100 || last.LatNS != 90 || last.Op != uint8(OpSet) {
-				t.Fatalf("ring record not stamped from the completion: %+v", last)
+			if last.Shard != 3 || last.Op != uint8(OpSet) || last.TS[0] <= 0 || last.TS[obs.NumReqPhases] > int64(time.Since(e.epoch)) {
+				t.Fatalf("ring record not stamped on host time from the completion: %+v", last)
 			}
 		}
 	}

@@ -54,16 +54,13 @@ type Config struct {
 	Warmup int
 
 	// Recorder, when tracing, receives the machine's spans and counter
-	// tracks plus the sampled request-lifecycle records; export it with
-	// WriteTrace after the run. Nil (the default) records nothing and
-	// leaves every golden-pinned report byte-identical.
+	// tracks plus the request-lifecycle chains of the run's newest
+	// server.FlightSlots completions (a flight ring attached for the
+	// run); export it with WriteTrace afterwards. Every stamp rides the
+	// virtual clock, so tracing never shifts a latency curve. Nil (the
+	// default) records nothing and leaves every golden-pinned report
+	// byte-identical.
 	Recorder *obs.Recorder
-	// TraceSample keeps ~1 in N arrivals for lifecycle tracing (1 keeps
-	// all, 0 disables); TraceSeed fixes which arrivals are kept. All
-	// stamps ride the virtual clock, so sampling never shifts a latency
-	// curve.
-	TraceSample int
-	TraceSeed   uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -143,14 +140,17 @@ func Run(cfg Config) (Result, error) {
 		})
 	}
 
+	var ring *server.FlightRecorder
+	if cfg.Recorder.Tracing() {
+		ring = server.NewFlightRecorder(server.FlightSlots)
+	}
 	exec := server.NewExecutor(st, server.ExecConfig{
 		Shards:        cfg.Shards,
 		QueueDepth:    cfg.QueueDepth,
 		MaxBatch:      cfg.MaxBatch,
 		BatchWindowNS: cfg.BatchWindowNS,
 		DeadlineNS:    cfg.DeadlineNS,
-		TraceSample:   cfg.TraceSample,
-		TraceSeed:     cfg.TraceSeed,
+		Flight:        ring,
 	})
 
 	// The open-loop generator: arrivals with seeded integer gaps,
@@ -179,10 +179,6 @@ func Run(cfg Config) (Result, error) {
 			req.Op = server.OpGet
 		}
 		req.EnqVT = th0.Now()
-		// Parse and enqueue coincide in the open-loop model: the sampled
-		// chain's TS[0] and TS[1] land on the arrival instant, so the
-		// seven phase durations telescope to exactly the recorded latency.
-		req.Trace = exec.TraceStart(req.EnqVT)
 		if !exec.Submit(req) {
 			rejected++
 		}
@@ -190,6 +186,7 @@ func Run(cfg Config) (Result, error) {
 	exec.InputsDone()
 	th0.Detach()
 	exec.Drain()
+	ring.Export(cfg.Recorder)
 
 	snap := exec.Snapshot()
 	res := Result{

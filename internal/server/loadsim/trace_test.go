@@ -43,28 +43,21 @@ func runTraced(t *testing.T, cfg Config) (Result, *obs.Recorder, traceDoc) {
 	return res, rec, doc
 }
 
-// TestTraceRequestChains is the tentpole acceptance check: a sampled
-// run exports request span chains where every record covers all seven
+// TestTraceRequestChains is the tentpole acceptance check: a traced
+// run exports one request span chain per served request — executed or
+// shed, nothing sampled away — where every record covers all seven
 // phases with monotone boundaries, and the phase durations sum exactly
 // to the end-to-end latency (parse and enqueue coincide in the open
 // loop, so the tolerance is zero virtual ticks).
 func TestTraceRequestChains(t *testing.T) {
-	cfg := Config{
-		Shards: 2, Requests: 2000, Rate: 2e6, Seed: 3,
-		TraceSample: 16, TraceSeed: 11,
-	}
+	cfg := Config{Shards: 2, Requests: 2000, Rate: 2e6, Seed: 3}
 	res, rec, doc := runTraced(t, cfg)
 	if res.Executed == 0 {
 		t.Fatal("run executed nothing")
 	}
 	recs := rec.Requests()
-	if len(recs) == 0 {
-		t.Fatal("sampling retained no request records")
-	}
-	// Roughly 1/16 of 2000 arrivals; the hash-based sampler has binomial
-	// spread, so just require a sensible band.
-	if len(recs) < 2000/16/4 || len(recs) > 2000/16*4 {
-		t.Fatalf("sampled %d of 2000 at 1/16 — sampler off the rails", len(recs))
+	if int64(len(recs)) != res.Executed+res.Shed {
+		t.Fatalf("%d chains for %d executed + %d shed requests", len(recs), res.Executed, res.Shed)
 	}
 	for _, q := range recs {
 		for p := 0; p < int(obs.NumReqPhases); p++ {
@@ -91,7 +84,7 @@ func TestTraceRequestChains(t *testing.T) {
 		}
 	}
 	if want == nil {
-		t.Fatal("every sampled request was shed")
+		t.Fatal("every request was shed")
 	}
 	phases := map[string]float64{}
 	for _, ev := range doc.TraceEvents {
@@ -115,20 +108,23 @@ func TestTraceRequestChains(t *testing.T) {
 	}
 }
 
-// TestTraceSamplingDeterminism: the same (seed, sample) keeps the same
-// arrivals.
-func TestTraceSamplingDeterminism(t *testing.T) {
-	cfg := Config{Shards: 1, Requests: 800, Seed: 5, TraceSample: 8, TraceSeed: 42}
-	_, rec1, _ := runTraced(t, cfg)
-	_, rec2, _ := runTraced(t, cfg)
-	a, b := rec1.Requests(), rec2.Requests()
-	if len(a) != len(b) || len(a) == 0 {
-		t.Fatalf("sampled %d vs %d records", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("record %d differs across identical runs:\n%+v\n%+v", i, a[i], b[i])
+// TestTraceDeterminism: two identical runs export byte-identical
+// traces — request chains included, whose IDs are flight-ring
+// sequence numbers and so follow the lockstep completion order.
+func TestTraceDeterminism(t *testing.T) {
+	cfg := Config{Shards: 2, Requests: 800, Seed: 5}
+	var traces [2]bytes.Buffer
+	for i := range traces {
+		_, rec, _ := runTraced(t, cfg)
+		if len(rec.Requests()) == 0 {
+			t.Fatal("traced run retained no request chains")
 		}
+		if err := rec.WriteTrace(&traces[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(traces[0].Bytes(), traces[1].Bytes()) {
+		t.Fatal("identical runs exported different traces")
 	}
 }
 

@@ -5,17 +5,13 @@ import (
 )
 
 // FlightHarvest is the target's flight-recorder sidecar as the soak
-// harness attaches it to a verdict: the tail of the completed-request
-// ring plus the counter-sample series from the final pre-kill mirror
-// window. A SIGKILLed process cannot be asked what it was doing; the
-// harvest is the answer its mirror file left behind.
+// harness attaches it to a verdict: the dump as the server wrote it,
+// with Records trimmed to the newest tail, from the final pre-kill
+// mirror window. A SIGKILLed process cannot be asked what it was
+// doing; the harvest is the answer its mirror file left behind.
 type FlightHarvest struct {
-	Path    string                `json:"path"`
-	WallNS  int64                 `json:"wall_ns"` // when the dump was written
-	Seq     uint64                `json:"seq"`     // records ever recorded
-	Dropped uint64                `json:"dropped"` // lost to ring wrap before the dump
-	Records []server.FlightRecord `json:"records"` // newest tail, oldest→newest
-	Samples []server.FlightSample `json:"samples"`
+	Path string `json:"path"`
+	server.FlightDump
 }
 
 // defaultFlightTail bounds the records a harvest carries; the full
@@ -39,14 +35,7 @@ func harvestFlight(image string, tail int) *FlightHarvest {
 	if err != nil {
 		return nil
 	}
-	h := &FlightHarvest{
-		Path:    path,
-		WallNS:  d.WallNS,
-		Seq:     d.Seq,
-		Dropped: d.Dropped,
-		Records: d.Records,
-		Samples: d.Samples,
-	}
+	h := &FlightHarvest{Path: path, FlightDump: *d}
 	if len(h.Records) > tail {
 		h.Records = h.Records[len(h.Records)-tail:]
 	}

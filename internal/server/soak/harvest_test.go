@@ -1,14 +1,15 @@
 package soak
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"goptm/internal/server"
 )
 
-// TestHarvestFlight: a sidecar written by the server-side recorder
+// TestHarvestFlight: a sidecar in the server's FlightDump schema
 // round-trips into a trimmed harvest; absence is nil, not an error.
 func TestHarvestFlight(t *testing.T) {
 	dir := t.TempDir()
@@ -21,17 +22,25 @@ func TestHarvestFlight(t *testing.T) {
 		t.Fatal("harvest with no image path should be nil")
 	}
 
-	f := server.NewFlightRecorder(64)
-	f.StartMirror(server.FlightPath(image), time.Hour, nil) // no ticks; Stop dumps
-	for i := 0; i < 50; i++ {
-		f.Record(server.FlightRecord{Op: 1, Shard: uint16(i % 4), LatNS: int64(i)})
+	d := server.FlightDump{Schema: 2, Seq: 50,
+		Samples: []server.FlightSample{{QueueDepth: 3, Counters: map[string]int64{"commits": 9}}}}
+	for i := 1; i <= 50; i++ {
+		d.Records = append(d.Records, server.FlightRecord{Seq: uint64(i), Op: 1, Shard: uint16(i % 4)})
 	}
-	f.AddSample(server.FlightSample{QueueDepth: 3, Counters: map[string]int64{"commits": 9}})
-	f.Stop()
+	blob, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(server.FlightPath(image), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	h := harvestFlight(image, 8)
 	if h == nil {
 		t.Fatal("harvest came back nil despite a sidecar")
+	}
+	if h.Schema != 2 || h.Path != server.FlightPath(image) {
+		t.Fatalf("harvest lost the dump header: schema %d, path %q", h.Schema, h.Path)
 	}
 	if h.Seq != 50 {
 		t.Fatalf("seq = %d, want 50", h.Seq)

@@ -238,7 +238,6 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		p := &pending{wait: make([]*Request, 0, len(keys))}
 		for _, key := range keys {
 			req := &Request{Op: OpGet, Key: key, Done: make(chan struct{})}
-			req.Trace = srv.exec.TraceStart(0) // wall clock; parse boundary
 			if !srv.exec.Submit(req) {
 				break
 			}
@@ -368,7 +367,6 @@ func (srv *Server) submitCmd(req *Request, noreply bool, render func(w *bufio.Wr
 	if !noreply {
 		req.Done = make(chan struct{})
 	}
-	req.Trace = srv.exec.TraceStart(0) // wall clock; parse boundary
 	if !srv.exec.Submit(req) {
 		if noreply {
 			return nil
