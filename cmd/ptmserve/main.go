@@ -21,10 +21,11 @@
 //	    fsynced: it guards against process death, which keeps the page
 //	    cache; power loss is the simulated machine's failure domain.
 //	    -durable=false drops the guarantee (the soak harness's
-//	    self-test runs it on purpose). -durable serves ADR only: under
-//	    eADR, PDRAM and PDRAM-Lite committed lines never reach the
-//	    media the journal records, so the server refuses to start
-//	    rather than ack writes a kill would lose.
+//	    self-test runs it on purpose). -durable serves ADR only: the
+//	    journal holds the lines each ack barrier drains from the WPQ,
+//	    and under eADR, PDRAM and PDRAM-Lite committed lines persist
+//	    above it, so the server refuses to start rather than ack
+//	    writes a kill would lose.
 //
 // Load-simulator mode:
 //
@@ -188,10 +189,9 @@ func main() {
 	exec := server.NewExecutor(st, server.ExecConfig{
 		Shards: *shards, QueueDepth: *queueDepth, MaxBatch: *maxBatch,
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
-		IdleSleep:  50 * time.Microsecond,
-		DurableAck: journaled,
-		WallClock:  true,
-		Flight:     fr,
+		IdleSleep: 50 * time.Microsecond,
+		WallClock: true,
+		Flight:    fr,
 	})
 	if *image != "" {
 		fr.StartMirror(server.FlightPath(*image), 0, exec.Snapshot)

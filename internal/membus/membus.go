@@ -413,4 +413,4 @@ func (b *Bus) CrashWith(vt int64, faults []memdev.LineFault) {
 
 // Quiesce cleanly drains all pending persistence traffic (orderly
 // shutdown).
-func (b *Bus) Quiesce() { b.dev.Quiesce() }
+func (b *Bus) Quiesce() { b.dev.DrainAll() }

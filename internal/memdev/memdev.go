@@ -23,7 +23,6 @@ package memdev
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -107,13 +106,6 @@ type Device struct {
 	loads   int64 // NVM load count, for stats
 	stores  int64 // NVM store count, for stats
 	flushes int64 // WPQ accepts, for stats
-
-	// mediaObs, when set, sees every line payload materialized onto NVM
-	// media during normal operation (WPQ drains, supersede commits,
-	// direct media writes). The serving layer journals these so a host
-	// process kill cannot lose media state that only ever existed in
-	// this process's address space.
-	mediaObs func(line uint64, payload [WordsPerLine]uint64)
 }
 
 // New creates a device. Both regions must be non-empty and multiples
@@ -306,9 +298,6 @@ func (d *Device) WPQAccept(ln uint64, drainVT int64) {
 		for w := uint64(0); w < WordsPerLine; w++ {
 			d.nvmMedia[base+w] = e.payload[w]
 		}
-		if d.mediaObs != nil {
-			d.mediaObs(ln, e.payload)
-		}
 	}
 	if d.serial {
 		copy(e.payload[:], d.nvmVol[base:base+WordsPerLine])
@@ -409,9 +398,6 @@ func (d *Device) MediaWriteLine(ln uint64, payload [WordsPerLine]uint64) {
 		d.nvmMedia[base+w] = payload[w]
 		atomic.StoreUint64(&d.nvmVol[base+w], payload[w])
 	}
-	if d.mediaObs != nil {
-		d.mediaObs(ln, payload)
-	}
 	d.mu.Unlock()
 	atomic.StoreUint32(&d.lineState[ln], LineClean)
 }
@@ -427,66 +413,39 @@ func (d *Device) MediaLoad(a Addr) uint64 {
 	return d.nvmMedia[a]
 }
 
-// Quiesce applies every pending flush to media unconditionally, as if
-// the machine were shut down cleanly. Used at the end of healthy runs.
-func (d *Device) Quiesce() {
-	d.DrainAll()
-}
-
-// SetMediaObserver installs a callback invoked, with the device's
-// internal serialization held, for every line payload that reaches NVM
-// media during normal operation: WPQ drains (DrainAll/Quiesce),
-// supersede commits of fenced entries, and direct media writes. It is
-// NOT invoked by Crash/CrashWith (the post-failure image is inspected
-// wholesale) or by Restore. Install before traffic starts; pass nil to
-// detach.
-func (d *Device) SetMediaObserver(fn func(line uint64, payload [WordsPerLine]uint64)) {
-	if !d.serial {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-	}
-	d.mediaObs = fn
-}
-
-// DrainAll forces every pending WPQ entry onto media immediately — the
-// serving layer's durable-ack barrier. Entries are applied in
-// (drainVT, line) order so an attached media observer sees a
-// deterministic byte stream that respects drain completion order.
-// Returns the number of entries applied and the maximum drain
-// completion time among them; a caller modeling an honest wait should
-// advance its virtual clock to that time before acknowledging.
+// DrainAll forces every pending WPQ entry onto media immediately, as
+// an orderly shutdown would. It returns the number of entries applied
+// and the maximum drain completion time among them; a caller modeling
+// an honest wait should advance its virtual clock to that time.
 func (d *Device) DrainAll() (applied int, maxDrainVT int64) {
+	return d.DrainEach(nil)
+}
+
+// DrainEach is DrainAll that also hands each applied (line, payload)
+// to visit, with the device's serialization held — the serving
+// layer's durable-ack barrier journals exactly these lines. A line has
+// at most one pending entry, so visit sees each line once, in no
+// particular order.
+func (d *Device) DrainEach(visit func(ln uint64, payload [WordsPerLine]uint64)) (applied int, maxDrainVT int64) {
 	if !d.serial {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 	}
-	if d.pendingLive == 0 {
-		return 0, 0
-	}
-	live := make([]*pendingWrite, 0, d.pendingLive)
 	for i := range d.pendingEnt {
-		if d.pendingLiveAt(i) {
-			live = append(live, &d.pendingEnt[i])
+		if !d.pendingLiveAt(i) {
+			continue
 		}
+		p := &d.pendingEnt[i]
+		d.pendingIdx[p.line] = 0
+		copy(d.nvmMedia[p.line<<LineShift:], p.payload[:])
+		if visit != nil {
+			visit(p.line, p.payload)
+		}
+		maxDrainVT = max(maxDrainVT, p.drainVT)
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].drainVT != live[j].drainVT {
-			return live[i].drainVT < live[j].drainVT
-		}
-		return live[i].line < live[j].line
-	})
-	for _, p := range live {
-		base := p.line << LineShift
-		for w := uint64(0); w < WordsPerLine; w++ {
-			d.nvmMedia[base+w] = p.payload[w]
-		}
-		if d.mediaObs != nil {
-			d.mediaObs(p.line, p.payload)
-		}
-		if p.drainVT > maxDrainVT {
-			maxDrainVT = p.drainVT
-		}
-	}
-	d.pendingClear()
-	return len(live), maxDrainVT
+	applied = d.pendingLive
+	d.pendingEnt = d.pendingEnt[:0]
+	d.pendingFree = d.pendingFree[:0]
+	d.pendingLive = 0
+	return applied, maxDrainVT
 }

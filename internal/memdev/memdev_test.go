@@ -1,6 +1,7 @@
 package memdev
 
 import (
+	"maps"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -180,7 +181,7 @@ func TestQuiesceAppliesPending(t *testing.T) {
 	d := newDev(t)
 	d.Store(0, 123)
 	d.WPQAccept(0, 1<<60) // drain far in the future
-	d.Quiesce()
+	d.DrainAll()
 	d.Crash(0, durability.NoReserve) // strictest domain
 	if d.Load(0) != 123 {
 		t.Fatal("quiesced write lost")
@@ -220,7 +221,7 @@ func TestMediaLoad(t *testing.T) {
 		t.Fatal("unflushed store visible in media")
 	}
 	d.WPQAccept(0, 0)
-	d.Quiesce()
+	d.DrainAll()
 	if d.MediaLoad(0) != 42 {
 		t.Fatal("quiesced store not in media")
 	}
@@ -356,30 +357,72 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+func TestDrainEachVisitsEachAppliedLineOnce(t *testing.T) {
+	d := newDev(t)
+	// Three lines with out-of-order drain times, line 5 fenced and then
+	// superseded: its fenced payload is committed to media at the
+	// re-flush, and only the newer payload is still pending.
+	d.Store(LineAddr(3), 33)
+	d.WPQAccept(3, 900)
+	d.Store(LineAddr(1), 11)
+	d.WPQAccept(1, 500)
+	d.Store(LineAddr(5), 1)
+	d.WPQAccept(5, 100)
+	d.WPQMarkOrdered([]uint64{5})
+	d.Store(LineAddr(5), 55)
+	d.WPQAccept(5, 200)
+	if got := d.MediaLoad(LineAddr(5)); got != 1 {
+		t.Fatalf("superseded fenced payload not on media: %d", got)
+	}
+	// A writeback retires line 7's pending entry, leaving a dead slot
+	// the drain must skip.
+	d.Store(LineAddr(7), 77)
+	d.WPQAccept(7, 300)
+	d.MediaWriteLine(7, [WordsPerLine]uint64{7})
+	seen := map[uint64]uint64{}
+	n, maxVT := d.DrainEach(func(ln uint64, payload [WordsPerLine]uint64) {
+		if _, dup := seen[ln]; dup {
+			t.Fatalf("line %d visited twice", ln)
+		}
+		seen[ln] = payload[0]
+	})
+	if n != 3 || maxVT != 900 {
+		t.Fatalf("DrainEach = (%d, %d), want (3, 900)", n, maxVT)
+	}
+	want := map[uint64]uint64{1: 11, 3: 33, 5: 55}
+	if !maps.Equal(seen, want) {
+		t.Fatalf("visited %v, want %v", seen, want)
+	}
+	for ln, v := range want {
+		if got := d.MediaLoad(LineAddr(ln)); got != v {
+			t.Fatalf("media line %d = %d, want %d", ln, got, v)
+		}
+	}
+	if d.PendingLines() != 0 {
+		t.Fatalf("pending not cleared: %d", d.PendingLines())
+	}
+	// Idempotent on an empty pending set.
+	if n, _ := d.DrainEach(func(ln uint64, _ [WordsPerLine]uint64) {
+		t.Fatalf("line %d visited on an empty drain", ln)
+	}); n != 0 {
+		t.Fatalf("second drain applied %d entries", n)
+	}
+}
+
 func TestDrainAllAppliesPendingInOrder(t *testing.T) {
 	d := newDev(t)
-	// Three lines accepted with out-of-order drain times; the observer
-	// must see them sorted by (drainVT, line) and media must hold the
-	// accepted snapshots afterwards.
+	// Three lines accepted with out-of-order drain times; after DrainAll
+	// media must hold each line's accepted snapshot, whatever the order
+	// the entries were applied in.
 	d.Store(LineAddr(3), 33)
 	d.WPQAccept(3, 900)
 	d.Store(LineAddr(1), 11)
 	d.WPQAccept(1, 500)
 	d.Store(LineAddr(2), 22)
 	d.WPQAccept(2, 500)
-	var seen []uint64
-	d.SetMediaObserver(func(ln uint64, payload [WordsPerLine]uint64) {
-		seen = append(seen, ln)
-	})
 	n, maxVT := d.DrainAll()
 	if n != 3 || maxVT != 900 {
 		t.Fatalf("DrainAll = (%d, %d), want (3, 900)", n, maxVT)
-	}
-	want := []uint64{1, 2, 3} // vt 500 line 1, vt 500 line 2, vt 900 line 3
-	for i, ln := range want {
-		if seen[i] != ln {
-			t.Fatalf("observer order %v, want %v", seen, want)
-		}
 	}
 	for ln, v := range map[uint64]uint64{1: 11, 2: 22, 3: 33} {
 		if got := d.MediaLoad(LineAddr(ln)); got != v {
@@ -389,7 +432,6 @@ func TestDrainAllAppliesPendingInOrder(t *testing.T) {
 	if d.PendingLines() != 0 {
 		t.Fatalf("pending not cleared: %d", d.PendingLines())
 	}
-	// Idempotent on an empty pending set.
 	if n, _ := d.DrainAll(); n != 0 {
 		t.Fatalf("second DrainAll applied %d entries", n)
 	}
@@ -400,22 +442,28 @@ func TestMediaObserverSeesSupersedeCommit(t *testing.T) {
 	d.Store(LineAddr(5), 1)
 	d.WPQAccept(5, 100)
 	d.WPQMarkOrdered([]uint64{5})
-	var got []uint64
-	d.SetMediaObserver(func(ln uint64, payload [WordsPerLine]uint64) {
-		got = append(got, payload[0])
-	})
 	// Re-flushing an ordered line commits the fenced snapshot to media
-	// immediately; the observer must see that write.
+	// immediately; the drain then sees only the newer payload.
 	d.Store(LineAddr(5), 2)
 	d.WPQAccept(5, 200)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("observer saw %v, want the fenced payload [1]", got)
+	if got := d.MediaLoad(LineAddr(5)); got != 1 {
+		t.Fatalf("media line 5 = %d, want the fenced payload 1", got)
 	}
-	// And MediaWriteLine is observed too.
+	var got []uint64
+	d.DrainEach(func(ln uint64, payload [WordsPerLine]uint64) {
+		got = append(got, payload[0])
+	})
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("drain saw %v, want the newer payload [2]", got)
+	}
+	if v := d.MediaLoad(LineAddr(5)); v != 2 {
+		t.Fatalf("media line 5 = %d after drain, want 2", v)
+	}
+	// MediaWriteLine writes media directly.
 	var p [WordsPerLine]uint64
 	p[0] = 7
 	d.MediaWriteLine(6, p)
-	if len(got) != 2 || got[1] != 7 {
-		t.Fatalf("observer saw %v after MediaWriteLine, want [1 7]", got)
+	if v := d.MediaLoad(LineAddr(6)); v != 7 {
+		t.Fatalf("media line 6 = %d after MediaWriteLine, want 7", v)
 	}
 }

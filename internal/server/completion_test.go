@@ -21,7 +21,7 @@ import (
 
 // TestCompletionRecordEveryPath drives an executed batch, a pop-time
 // shed and a Drain sweep through one executor with the flight ring
-// attached on a DurableAck store, and holds the completion record to
+// attached on a journaled store, and holds the completion record to
 // its contract: every completed request yields exactly one flight
 // record whose 8-boundary chain never runs backwards and telescopes to
 // the request's end-to-end latency, and no Done closes before the
@@ -43,7 +43,7 @@ func TestCompletionRecordEveryPath(t *testing.T) {
 	// than host time, so only the deliberately stale arrival can age
 	// past the deadline between its enqueue stamp and its pop.
 	exec := NewExecutor(st, ExecConfig{
-		DeadlineNS: 100_000, IdleSleep: 20 * time.Microsecond, DurableAck: true, Flight: ring,
+		DeadlineNS: 100_000, IdleSleep: 20 * time.Microsecond, Flight: ring,
 	})
 	met := st.TM().Metrics()
 
@@ -241,7 +241,7 @@ func TestCompletionRecordWallClock(t *testing.T) {
 	}
 	ring := NewFlightRecorder(64)
 	start := time.Now()
-	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, IdleSleep: 20 * time.Microsecond, DurableAck: true, WallClock: true, Flight: ring})
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, IdleSleep: 20 * time.Microsecond, WallClock: true, Flight: ring})
 	const n = 16
 	for i := 0; i < n; i++ {
 		op := OpSet

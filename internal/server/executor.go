@@ -108,16 +108,6 @@ type ExecConfig struct {
 	// the TCP server doesn't spin a core per shard. Must stay 0 under
 	// lockstep: a sleeping thread holds the scheduler floor.
 	IdleSleep time.Duration
-	// DurableAck runs the durable-ack barrier (Store.DrainMedia, then
-	// Store.FlushJournal) after every batch that contains a write,
-	// before any request in the batch completes: the
-	// batch's persistence traffic reaches simulated media — and the
-	// attached write-ahead journal, if any — before the response goes
-	// out, so an acked write survives a kill of the host process.
-	// Off by default: the barrier adds drain waits to the virtual
-	// timeline, which would shift loadsim's pinned latency curves.
-	DurableAck bool
-
 	// WallClock runs the lifecycle clock — the flight records' chains —
 	// on host ns since executor start instead of the shards' virtual
 	// clocks: the TCP server sets it (its requests live on wall time);
@@ -218,6 +208,13 @@ type Executor struct {
 	cfg ExecConfig
 	met *metrics.Registry
 	rec *obs.Recorder
+	// durable runs the durable-ack barrier (Store.DrainMedia, then
+	// Store.FlushJournal) after every batch that contains a write,
+	// before any request in the batch completes, so an acked write
+	// survives a kill of the host process. Set iff the store has a
+	// journal: without one the barrier would protect nothing, and its
+	// drain waits would shift loadsim's pinned latency curves.
+	durable bool
 
 	shards []*shard
 	queued atomic.Int64 // across all shards, for the queue-depth track
@@ -233,12 +230,13 @@ type Executor struct {
 func NewExecutor(st *Store, cfg ExecConfig) *Executor {
 	cfg = cfg.withDefaults(st)
 	e := &Executor{
-		st:     st,
-		cfg:    cfg,
-		met:    st.tm.Metrics(),
-		rec:    st.tm.Recorder(),
-		shards: make([]*shard, cfg.Shards),
-		epoch:  time.Now(),
+		st:      st,
+		cfg:     cfg,
+		met:     st.tm.Metrics(),
+		rec:     st.tm.Recorder(),
+		durable: st.wal != nil,
+		shards:  make([]*shard, cfg.Shards),
+		epoch:   time.Now(),
 	}
 	e.wg.Add(cfg.Shards)
 	for i := range e.shards {
@@ -427,7 +425,7 @@ func (e *Executor) execBatch(s *shard, th *core.Thread, live []*Request) {
 	// phases keep the chain telescoping).
 	d.ran = e.clock(th.Now())
 	d.drained, d.flushed = d.ran, d.ran
-	if e.cfg.DurableAck && slices.ContainsFunc(live, func(req *Request) bool { return req.Op != OpGet }) {
+	if e.durable && slices.ContainsFunc(live, func(req *Request) bool { return req.Op != OpGet }) {
 		// The durable-ack barrier: WPQ entries onto simulated media
 		// first, then the journal batch onto the host file. No member
 		// completes before both return.

@@ -16,11 +16,11 @@ import (
 // file is only rewritten on clean shutdown. A SIGKILL of the host
 // process would therefore lose every write acked since the last image
 // save, even though the *simulated* machine never failed. The journal
-// fixes that: every line payload that reaches simulated media is also
-// appended to a host file, and the executor's durable-ack barrier
-// (Store.DrainMedia, then Store.FlushJournal) forces pending WPQ
-// entries onto media — and the journal onto the file — before a
-// response is acknowledged. Recovery is then image + journal replay.
+// fixes that, and the executor's durable-ack barrier is its only
+// writer: Store.DrainMedia forces the pending WPQ entries onto media
+// and appends exactly those lines, then Store.FlushJournal writes them
+// to the host file as one batch, before any response is acknowledged.
+// Replaying image + journal reconstructs media as of the last barrier.
 //
 // Records are framed in batches, one per barrier flush:
 //
@@ -69,9 +69,19 @@ type journal struct {
 	mu  sync.Mutex
 	f   *os.File
 	gen uint64
-	buf []byte // records accumulated since the last flush
-	n   uint64 // record count in buf
-	err error  // first write error; subsequent flushes keep failing
+	// buf is the next batch frame: a batch header, filled in at flush,
+	// then the records accumulated since the last flush.
+	buf []byte
+	err error // first write error; subsequent flushes keep failing
+}
+
+// batchSum is a batch's checksum: FNV-1a over the generation, the
+// record count and the record bytes.
+func batchSum(gen, n uint64, body []byte) uint64 {
+	var scratch [16]byte
+	binary.LittleEndian.PutUint64(scratch[:8], gen)
+	binary.LittleEndian.PutUint64(scratch[8:], n)
+	return fnv64(fnv64(fnvOffset64, scratch[:]), body)
 }
 
 // walScan walks the batches of a WAL byte image and returns the length
@@ -96,10 +106,7 @@ func walScan(data []byte, gen uint64) (prefix int, batches [][]byte) {
 			return off, batches
 		}
 		body := data[off+walBatchHdrSize : off+walBatchHdrSize+size]
-		var scratch [16]byte
-		binary.LittleEndian.PutUint64(scratch[:8], gen)
-		binary.LittleEndian.PutUint64(scratch[8:], n)
-		if fnv64(fnv64(fnvOffset64, scratch[:]), body) != want {
+		if batchSum(gen, n, body) != want {
 			return off, batches
 		}
 		batches = append(batches, body)
@@ -144,7 +151,7 @@ func openJournal(path string, gen uint64) (*journal, error) {
 		f.Close()
 		return nil, err
 	}
-	return &journal{f: f, gen: gen}, nil
+	return &journal{f: f, gen: gen, buf: make([]byte, walBatchHdrSize)}, nil
 }
 
 // replayJournal applies every record of every valid batch in the WAL
@@ -173,44 +180,37 @@ func replayJournal(path string, gen uint64, apply func(ln uint64, payload [memde
 	return len(frames), nil
 }
 
-// record buffers one media line write. Called from the device's media
-// observer, under the device's serialization.
+// record buffers one drained line. Called by the durable-ack
+// barrier's drain, under the device's serialization.
 func (j *journal) record(ln uint64, payload [memdev.WordsPerLine]uint64) {
-	var rec [walRecordSize]byte
-	binary.LittleEndian.PutUint64(rec[:8], ln)
-	for w, v := range payload {
-		binary.LittleEndian.PutUint64(rec[8+w*8:], v)
-	}
 	j.mu.Lock()
-	j.buf = append(j.buf, rec[:]...)
-	j.n++
+	j.buf = binary.LittleEndian.AppendUint64(j.buf, ln)
+	for _, v := range payload {
+		j.buf = binary.LittleEndian.AppendUint64(j.buf, v)
+	}
 	j.mu.Unlock()
 }
 
-// flush appends the buffered records as one framed batch. A kill
-// mid-append leaves a torn tail that replay drops whole.
+// flush fills in the batch header and appends the frame with one
+// write. A kill mid-append leaves a torn tail that replay drops whole.
 func (j *journal) flush() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return j.err
 	}
-	if j.n == 0 {
+	body := j.buf[walBatchHdrSize:]
+	if len(body) == 0 {
 		return nil
 	}
-	frame := make([]byte, walBatchHdrSize+len(j.buf))
-	binary.LittleEndian.PutUint64(frame[:8], j.n)
-	var scratch [16]byte
-	binary.LittleEndian.PutUint64(scratch[:8], j.gen)
-	binary.LittleEndian.PutUint64(scratch[8:], j.n)
-	binary.LittleEndian.PutUint64(frame[8:16], fnv64(fnv64(fnvOffset64, scratch[:]), j.buf))
-	copy(frame[walBatchHdrSize:], j.buf)
-	if _, err := j.f.Write(frame); err != nil {
+	n := uint64(len(body) / walRecordSize)
+	binary.LittleEndian.PutUint64(j.buf[:8], n)
+	binary.LittleEndian.PutUint64(j.buf[8:16], batchSum(j.gen, n, body))
+	if _, err := j.f.Write(j.buf); err != nil {
 		j.err = fmt.Errorf("server: journal append: %w", err)
 		return j.err
 	}
-	j.buf = j.buf[:0]
-	j.n = 0
+	j.buf = j.buf[:walBatchHdrSize]
 	return nil
 }
 

@@ -61,7 +61,7 @@ func panicChild(image string) {
 		}
 	})
 	ring := NewFlightRecorder(FlightSlots)
-	e := NewExecutor(st, ExecConfig{DeadlineNS: -1, DurableAck: true, WallClock: true, Flight: ring})
+	e := NewExecutor(st, ExecConfig{DeadlineNS: -1, WallClock: true, Flight: ring})
 	ring.StartMirror(FlightPath(image), time.Hour, nil)
 	acked := &Request{Op: OpSet, Key: []byte("acked"), Value: []byte("v"), Done: make(chan struct{})}
 	e.Submit(acked)

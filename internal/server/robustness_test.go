@@ -19,16 +19,17 @@ import (
 )
 
 // populateDurable opens a durable store at path, writes n keys through
-// a DurableAck executor (every response backed by the journal), and
-// returns without saving an image — the moral equivalent of a SIGKILL:
-// whatever the next open reconstructs must include every acked write.
-func populateDurable(t *testing.T, path string, n int) {
+// an executor built with no barrier setting (a journaled store backs
+// every response with the journal by itself), and returns without
+// saving an image — the moral equivalent of a SIGKILL: whatever the
+// next open reconstructs must include every acked write.
+func populateDurable(t *testing.T, path string, algo core.Algo, n int) *Store {
 	t.Helper()
-	st, err := OpenDurable(path, StoreConfig{Shards: 2, Heap: 1 << 18})
+	st, err := OpenDurable(path, StoreConfig{Algo: algo, Shards: 2, Heap: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, DurableAck: true})
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1})
 	for i := 0; i < n; i++ {
 		r := submit(t, exec, &Request{
 			Op:    OpSet,
@@ -43,26 +44,24 @@ func populateDurable(t *testing.T, path string, n int) {
 	// deliberately skip Crash/SaveImage: the image on disk is still the
 	// empty base, and durability must come from the journal alone.
 	exec.Drain()
+	return st
 }
 
-func TestDurableAckSurvivesProcessKill(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kv.img")
-	const n = 50
-	populateDurable(t, path, n)
-
-	if _, err := os.Stat(WALPath(path)); err != nil {
-		t.Fatalf("no journal after durable writes: %v", err)
-	}
-	st2, err := OpenDurable(path, StoreConfig{})
+// reopenAfterKill reopens the durable store at path as a restart after
+// a process kill would, and checks that journal replay restored all n
+// keys populateDurable acked.
+func reopenAfterKill(t *testing.T, path string, n int) *Store {
+	t.Helper()
+	st, err := OpenDurable(path, StoreConfig{})
 	if err != nil {
 		t.Fatalf("reopen after simulated kill: %v", err)
 	}
-	if st2.WALBatches == 0 {
+	if st.WALBatches == 0 {
 		t.Fatal("reopen replayed no journal batches")
 	}
-	th := st2.TM().Thread(0)
-	kv := st2.KV()
+	th := st.TM().Thread(0)
+	defer th.Detach()
+	kv := st.KV()
 	th.Atomic(func(tx *core.Tx) {
 		for i := 0; i < n; i++ {
 			v, _, ok := kv.Get(tx, fmt.Appendf(nil, "wal-key-%d", i))
@@ -71,28 +70,83 @@ func TestDurableAckSurvivesProcessKill(t *testing.T) {
 			}
 		}
 	})
-	th.Detach()
+	return st
+}
 
-	// Clean shutdown: crash, save, finish. The journal is consumed into
-	// the image and removed; what remains reopens without it.
-	st2.Crash(0)
-	if err := st2.SaveImage(path); err != nil {
-		t.Fatal(err)
+func TestDurableAckSurvivesProcessKill(t *testing.T) {
+	for _, algo := range []core.Algo{core.OrecLazy, core.OrecEager} {
+		t.Run(algo.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kv.img")
+			const n = 50
+			populateDurable(t, path, algo, n)
+			if _, err := os.Stat(WALPath(path)); err != nil {
+				t.Fatalf("no journal after durable writes: %v", err)
+			}
+			st2 := reopenAfterKill(t, path, n)
+			if st2.Config().Algo != algo {
+				t.Fatalf("reopened as %v, want %v", st2.Config().Algo, algo)
+			}
+
+			// Clean shutdown: crash, save, finish. The journal is consumed
+			// into the image and removed; what remains reopens without it.
+			st2.Crash(0)
+			if err := st2.SaveImage(path); err != nil {
+				t.Fatal(err)
+			}
+			st2.FinishJournal()
+			if _, err := os.Stat(WALPath(path)); !os.IsNotExist(err) {
+				t.Fatalf("journal still present after FinishJournal: %v", err)
+			}
+			st3, err := OpenImage(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := st3.TM().Thread(0)
+			defer th.Detach()
+			kv := st3.KV()
+			th.Atomic(func(tx *core.Tx) {
+				if _, _, ok := kv.Get(tx, []byte("wal-key-0")); !ok {
+					t.Fatal("key lost across clean save")
+				}
+			})
+		})
 	}
-	st2.FinishJournal()
-	if _, err := os.Stat(WALPath(path)); !os.IsNotExist(err) {
-		t.Fatalf("journal still present after FinishJournal: %v", err)
-	}
-	st3, err := OpenImage(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th = st3.TM().Thread(0)
-	defer th.Detach()
-	kv = st3.KV()
-	th.Atomic(func(tx *core.Tx) {
-		if _, _, ok := kv.Get(tx, []byte("wal-key-0")); !ok {
-			t.Fatal("key lost across clean save")
+}
+
+// TestBarrierFollowsJournal: the executor derives the durable-ack
+// barrier from the store; its config has no barrier setting. A
+// journaled store runs the barrier once per write batch, and its acked
+// keys survive a kill with no image save; a store with no journal runs
+// none, so every flight record's drain boundary sits on its
+// transaction's return.
+func TestBarrierFollowsJournal(t *testing.T) {
+	const n = 20
+	t.Run("journaled", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "kv.img")
+		st := populateDurable(t, path, core.OrecLazy, n)
+		h := st.JournalFlushStats()
+		if got := h.Count(); got != n {
+			t.Fatalf("%d journal flushes for %d acked sets", got, n)
+		}
+		reopenAfterKill(t, path, n).TM().Thread(0).Detach()
+	})
+	t.Run("no-journal", func(t *testing.T) {
+		st := testStore(t, StoreConfig{Shards: 1})
+		ring := NewFlightRecorder(64)
+		exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, Flight: ring})
+		for i := 0; i < n; i++ {
+			submit(t, exec, &Request{Op: OpSet, Key: fmt.Appendf(nil, "k%d", i), Value: []byte("v")})
+		}
+		exec.Drain()
+		records := ring.Snapshot()
+		if len(records) != n {
+			t.Fatalf("%d flight records for %d sets", len(records), n)
+		}
+		for _, r := range records {
+			if r.Shed || r.Err || r.TS[5] != r.TS[4] || r.TS[6] != r.TS[4] {
+				t.Fatalf("record %d: ran %d, drained %d, flushed %d (shed %v, err %v): a barrier ran with no journal",
+					r.Seq, r.TS[4], r.TS[5], r.TS[6], r.Shed, r.Err)
+			}
 		}
 	})
 }
@@ -100,7 +154,7 @@ func TestDurableAckSurvivesProcessKill(t *testing.T) {
 func TestTornJournalTailDroppedWhole(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.img")
-	populateDurable(t, path, 10)
+	populateDurable(t, path, core.OrecLazy, 10)
 
 	// Simulate a kill mid-append: chop the journal mid-batch and tack
 	// garbage on. Replay must apply the valid prefix and drop the tail
@@ -131,7 +185,7 @@ func TestTornJournalTailDroppedWhole(t *testing.T) {
 func TestStaleJournalIgnoredAfterSave(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.img")
-	populateDurable(t, path, 5)
+	populateDurable(t, path, core.OrecLazy, 5)
 
 	// Reopen (journal replayed), save a new image — but "fail" to
 	// remove the journal, as a kill between SaveImage and FinishJournal

@@ -456,8 +456,8 @@ func WALPath(path string) string { return path + ".wal" }
 // (plus any journal bound to its generation) is loaded if present,
 // else a fresh store is formatted and a base image saved immediately
 // — a journal needs a base to extend. The media write-ahead journal is
-// then attached; pair with ExecConfig.DurableAck so every response is
-// backed by journaled media before it is sent.
+// then opened, and an executor on a journaled store runs the
+// durable-ack barrier before every write it acknowledges.
 //
 // Domains whose persistence point sits above the WPQ are refused; see
 // journalableDomain.
@@ -491,7 +491,8 @@ func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 			return nil, err
 		}
 	}
-	if err := st.StartJournal(WALPath(path)); err != nil {
+	st.walPath = WALPath(path)
+	if st.wal, err = openJournal(st.walPath, st.gen); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -499,7 +500,7 @@ func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 
 // journalableDomain refuses a durable store under a domain whose
 // persistence point sits above the WPQ (eADR, PDRAM, PDRAM-Lite). The
-// journal records only lines that reach simulated media, and there
+// barrier journals only the lines it drains from the WPQ, and there
 // committed lines — the formatted TM header first — stay in the cache
 // or the DRAM page cache, so a process kill would lose what was acked.
 // Refusing before anything is written beats acking and losing.
@@ -510,46 +511,37 @@ func journalableDomain(d durability.Domain) error {
 	return nil
 }
 
-// StartJournal attaches a media write-ahead journal at path (creating
-// it, or truncating a torn tail if it already extends this store's
-// generation) and wires it to the device's media observer. Call before
-// serving traffic.
-func (st *Store) StartJournal(path string) error {
-	j, err := openJournal(path, st.gen)
-	if err != nil {
-		return err
-	}
-	st.wal, st.walPath = j, path
-	st.tm.Bus().Device().SetMediaObserver(j.record)
-	return nil
-}
-
-// FinishJournal detaches, closes, and removes the journal. Call only
-// after a successful SaveImage: the save bumped the generation, so
-// even a journal file that survives a failed remove would be ignored
-// as stale on the next open.
+// FinishJournal closes and removes the journal. Call only after a
+// successful SaveImage: the save bumped the generation, so even a
+// journal file that survives a failed remove would be ignored as stale
+// on the next open.
 func (st *Store) FinishJournal() {
 	if st.wal == nil {
 		return
 	}
-	st.tm.Bus().Device().SetMediaObserver(nil)
 	st.wal.close()
 	os.Remove(st.walPath)
 	st.wal = nil
 }
 
 // The durable-ack barrier has two halves, run in this order by the
-// executor before any response of a batch is acknowledged: DrainMedia
-// forces every pending WPQ entry onto simulated media, FlushJournal
-// pushes the resulting journal batch to the host file. An acked write
-// is then reconstructible from image + journal even if the process is
-// killed the next instant.
+// executor of a journaled store before any write of a batch is
+// acknowledged: DrainMedia forces every pending WPQ entry onto
+// simulated media and into the journal, FlushJournal pushes the
+// resulting journal batch to the host file. An acked write is then
+// reconstructible from image + journal even if the process is killed
+// the next instant.
 
 // DrainMedia is the barrier's first half: force every pending WPQ
-// entry onto simulated media and advance the calling shard's clock to
-// the last drain completion (the honest virtual-time cost of waiting).
+// entry onto simulated media, record each drained line in the journal
+// (if any), and advance the calling shard's clock to the last drain
+// completion (the honest virtual-time cost of waiting).
 func (st *Store) DrainMedia(th *core.Thread) {
-	n, maxVT := st.tm.Bus().Device().DrainAll()
+	var visit func(uint64, [memdev.WordsPerLine]uint64)
+	if st.wal != nil {
+		visit = st.wal.record
+	}
+	n, maxVT := st.tm.Bus().Device().DrainEach(visit)
 	if n > 0 {
 		if now := th.Now(); maxVT > now {
 			th.Compute(maxVT - now)

@@ -154,21 +154,31 @@ func TestExecutorClampsShardsToImage(t *testing.T) {
 	}
 }
 
-// TestRecoveryMidBatch cuts the power inside an executor batch commit
-// and asserts durable linearizability across the image round trip:
-// everything acknowledged before the crash survives, and the cut
-// batch either committed atomically (marker durable, redo replayed)
-// or vanished atomically — never partially.
+// TestRecoveryMidBatch cuts the power inside an executor batch commit,
+// under redo and under undo logging, and asserts durable
+// linearizability across the image round trip: everything
+// acknowledged before the crash survives, and the cut batch either
+// committed atomically or vanished atomically — never partially.
 func TestRecoveryMidBatch(t *testing.T) {
 	for _, tc := range []struct {
+		algo        core.Algo
 		point       string
 		wantSurvive bool // must the cut batch's first transaction survive?
+		// recovered counts the recovery work the crash point demands
+		// (redo replayed, undo rolled back); nil demands none.
+		recovered func(core.RecoveryReport) int
 	}{
-		{"lazy:post-marker", true}, // commit marker durable: redo replay must finish it
-		{"lazy:pre-marker", false}, // no marker: recovery must discard the log
+		// Commit marker durable: redo replay must finish the batch.
+		{core.OrecLazy, "lazy:post-marker", true, func(r core.RecoveryReport) int { return r.RedoReplayed }},
+		// No marker: recovery must discard the log.
+		{core.OrecLazy, "lazy:pre-marker", false, nil},
+		// Undo log cleared: the in-place writes are the committed batch.
+		{core.OrecEager, "eager:post-clear", true, nil},
+		// Undo log still active: recovery must roll the batch back.
+		{core.OrecEager, "eager:pre-clear", false, func(r core.RecoveryReport) int { return r.UndoRolledBack }},
 	} {
 		t.Run(tc.point, func(t *testing.T) {
-			st := testStore(t, StoreConfig{Shards: 1}) // one shard: FIFO commit order
+			st := testStore(t, StoreConfig{Algo: tc.algo, Shards: 1}) // one shard: FIFO commit order
 			exec := NewExecutor(st, ExecConfig{DeadlineNS: -1})
 
 			// Phase 1: acknowledged writes — these must survive anything.
@@ -210,8 +220,8 @@ func TestRecoveryMidBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantSurvive && st2.Recovery.RedoReplayed == 0 {
-				t.Fatalf("post-marker crash recovered without redo replay: %+v", st2.Recovery)
+			if tc.recovered != nil && tc.recovered(st2.Recovery) == 0 {
+				t.Fatalf("%s crash recovered without the log work it demands: %+v", tc.point, st2.Recovery)
 			}
 
 			th := st2.TM().Thread(0)
@@ -240,10 +250,10 @@ func TestRecoveryMidBatch(t *testing.T) {
 					}
 				}
 				if tc.wantSurvive && !present[0] {
-					t.Fatalf("crash after durable marker, but cut-0 did not survive recovery (%v)", present)
+					t.Fatalf("crash after the batch's commit point, but cut-0 did not survive recovery (%v)", present)
 				}
 				if !tc.wantSurvive && present[0] {
-					t.Fatalf("crash before marker, but cut batch survived (%v)", present)
+					t.Fatalf("crash before the batch's commit point, but cut batch survived (%v)", present)
 				}
 			})
 		})
