@@ -230,9 +230,9 @@ func runTraced(n int, path string, breakdown bool) error {
 
 	p := harness.QuickParams()
 	rc := harness.RunConfig{Threads: 4, WarmupNS: p.WarmupNS, MeasureNS: p.MeasureNS}
-	// Sample the counter model at 64 points across the window so the
-	// trace carries the WPQ-occupancy/media/commit counter tracks.
-	rc.Metrics = metrics.New(metrics.Config{SampleIntervalNS: (p.WarmupNS + p.MeasureNS) / 64})
+	// Attach the counter model so the trace carries the media XPLine
+	// and commit counter tracks.
+	rc.Metrics = metrics.New(metrics.Config{Serial: true}) // harness machines always run lockstep
 	res, err := harness.RunTraced(cell, rc, wl.Make(p), f)
 	if err != nil {
 		return err

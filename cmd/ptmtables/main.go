@@ -130,6 +130,7 @@ func runRecoveryTime() error {
 		tm, err := core.New(core.Config{
 			Algo: core.OrecLazy, Medium: core.MediumNVM, Domain: durability.ADR,
 			Threads: 1, HeapWords: 1 << 18, MaxLogEntries: 1024, OrecSize: 1 << 12,
+			Lockstep: true,
 		})
 		if err != nil {
 			return err

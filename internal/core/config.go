@@ -160,12 +160,14 @@ type Config struct {
 	Recorder *obs.Recorder
 
 	// Metrics attaches the hardware-counter registry (PMWatch-style
-	// media/WPQ telemetry plus virtual-time sampling). It is shared
-	// with the memory system: the WPQ controller feeds the media model
-	// and occupancy gauge, the TM the transaction-outcome counters.
-	// nil keeps the counter model off the device hot path; the TM then
-	// builds a private counters-only registry for its own outcome
-	// counters (Commits/Aborts never lose their home).
+	// media/WPQ telemetry). It is shared with the memory system: the
+	// WPQ controller feeds the media model and max-occupancy tracking,
+	// the TM the transaction-outcome counters. When the recorder also
+	// traces, the commit-stride sampler adds the registry's XPLine and
+	// commit totals to the counter tracks. nil keeps the counter model
+	// off the device hot path; the TM then builds a private registry
+	// for its own outcome counters (Commits/Aborts never lose their
+	// home).
 	Metrics *metrics.Registry
 }
 

@@ -270,10 +270,6 @@ func TestSmallAccessors(t *testing.T) {
 	if tm.Commits() != 1 {
 		t.Fatal("commit not counted")
 	}
-	tm.ResetStats()
-	if tm.Commits() != 0 || tm.Aborts() != 0 {
-		t.Fatal("ResetStats incomplete")
-	}
 	if (ErrLogOverflow{Entries: 3}).Error() == "" {
 		t.Fatal("empty error string")
 	}

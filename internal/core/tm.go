@@ -193,8 +193,7 @@ func newOrecs(cfg Config) *orec.Table {
 }
 
 // ensureRegistry returns the configured metrics registry, or a private
-// zero-config one (counters only, no sampling) so the TM's outcome
-// counters always have a home.
+// zero-config one so the TM's outcome counters always have a home.
 func ensureRegistry(cfg Config) *metrics.Registry {
 	if cfg.Metrics != nil {
 		return cfg.Metrics
@@ -235,14 +234,6 @@ func (tm *TM) Commits() int64 { return tm.met.Get(metrics.CtrCommits) }
 
 // Aborts reports the total aborted transaction attempts.
 func (tm *TM) Aborts() int64 { return tm.met.Get(metrics.CtrAborts) }
-
-// ResetStats zeroes the global transaction-outcome counters (used to
-// exclude warmup from measurements). Device and media counters remain
-// cumulative since construction, matching the component counters they
-// are read alongside.
-func (tm *TM) ResetStats() {
-	tm.met.ResetTxnCounters()
-}
 
 // SetRoot durably publishes a root pointer (see alloc.Heap.SetRoot).
 func (tm *TM) SetRoot(th *Thread, slot int, a memdev.Addr) {

@@ -243,7 +243,6 @@ func (th *Thread) Atomic(fn func(tx *Tx)) {
 			th.tm.met.Add(metrics.CtrCommits, 1)
 			th.capacityHit = false
 			now := th.ctx.Now()
-			th.tm.met.Tick(now)
 			th.latency.Record(now - start)
 			th.rec.Span(obs.PhaseTxn, start, now)
 			if th.rec.Tracing() && th.stats.Commits&(counterSampleEvery-1) == 0 {
@@ -264,10 +263,12 @@ func (th *Thread) Atomic(fn func(tx *Tx)) {
 // tracing thread samples the machine's counter tracks (power of two).
 const counterSampleEvery = 32
 
-// sampleCounters emits one sample per counter track at virtual time
-// now. Tracing-only path: it takes the shared controller and cache
-// locks, which the disabled and breakdown-only configurations must
-// never pay for.
+// sampleCounters emits one sample per machine counter track at
+// virtual time now; it is the only writer of those tracks. The media
+// XPLine and commit tracks read the registry, so they appear only when
+// the configuration attached one. Tracing-only path: it takes the
+// shared controller and cache locks, which the disabled and
+// breakdown-only configurations must never pay for.
 func (th *Thread) sampleCounters(now int64) {
 	bus := th.tm.bus
 	ctl := bus.Controller()
@@ -280,6 +281,12 @@ func (th *Thread) sampleCounters(now int64) {
 		resident, dirty := pc.Resident()
 		th.rec.Count(obs.TrackPageResidency, now, float64(resident))
 		th.rec.Count(obs.TrackPageDirty, now, float64(dirty))
+	}
+	if th.tm.cfg.Metrics != nil {
+		met := th.tm.met
+		th.rec.Count(obs.TrackMediaWriteXP, now, float64(met.Get(metrics.CtrMediaWriteXPLines)))
+		th.rec.Count(obs.TrackMediaReadXP, now, float64(met.Get(metrics.CtrMediaReadXPLines)))
+		th.rec.Count(obs.TrackCommits, now, float64(met.Get(metrics.CtrCommits)))
 	}
 }
 

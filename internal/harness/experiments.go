@@ -30,8 +30,8 @@ type Params struct {
 	// throughput-comparison runs.
 	Observe bool
 	// Counters attaches the hardware-counter model to every measurement
-	// (PMWatch-style media/WPQ telemetry, virtual-time series, and the
-	// per-cell attribution report). Implies the breakdown recorder,
+	// (PMWatch-style media/WPQ telemetry and the per-cell attribution
+	// report). Implies the breakdown recorder,
 	// which the attribution shares come from. Counting never advances
 	// virtual time: all measured numbers are identical with it on or
 	// off.

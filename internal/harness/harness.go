@@ -61,11 +61,12 @@ type RunConfig struct {
 	// instrumented paths then cost nothing.
 	Recorder *obs.Recorder
 	// Metrics attaches the hardware-counter registry (media/WPQ
-	// telemetry and the virtual-time series). nil leaves the counter
-	// model off the device paths; Result.Metrics then carries only the
-	// always-on component and transaction counters. Counting is pure
-	// accounting — it never moves virtual time, so attaching a registry
-	// cannot change any measured number.
+	// telemetry; on a traced run also the XPLine and commit counter
+	// tracks). nil leaves the counter model off the device paths;
+	// Result.Metrics then carries only the always-on component and
+	// transaction counters. Counting is pure accounting — it never
+	// moves virtual time, so attaching a registry cannot change any
+	// measured number.
 	Metrics *metrics.Registry
 }
 
@@ -89,8 +90,7 @@ type Result struct {
 	Breakdown obs.Breakdown
 	// Metrics is the machine's counter snapshot at the end of the run
 	// (cumulative including setup and warmup; the media-model fields
-	// and time series are zero unless the run config attached a
-	// metrics registry).
+	// are zero unless the run config attached a metrics registry).
 	Metrics metrics.Snapshot
 }
 
@@ -142,15 +142,14 @@ func Run(c Cell, rc RunConfig, w workload.Workload) (Result, error) {
 // ui.perfetto.dev). Tracing retains every span and counter sample, so
 // keep the measurement window small; the returned Result carries the
 // phase breakdown like any observed run. When the run config also
-// attaches a metrics registry, its sampled time series is exported as
-// counter tracks in the same trace.
+// attaches a metrics registry, the trace's counter tracks include its
+// XPLine and commit totals.
 func RunTraced(c Cell, rc RunConfig, wl workload.Workload, w io.Writer) (Result, error) {
 	rc.Recorder = obs.New(rc.Threads, true)
 	res, err := Run(c, rc, wl)
 	if err != nil {
 		return res, err
 	}
-	rc.Metrics.ExportTracks(rc.Recorder)
 	return res, rc.Recorder.WriteTrace(w)
 }
 

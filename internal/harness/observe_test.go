@@ -8,6 +8,7 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
+	"goptm/internal/metrics"
 	"goptm/internal/obs"
 	"goptm/internal/workload/tatp"
 )
@@ -111,6 +112,53 @@ func TestRunTracedEmitsLoadableTrace(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Fatal("trace has no spans")
+	}
+}
+
+// TestRunTracedOneCounterWriter pins that the machine counter tracks
+// have one writer: with a registry attached, every non-page machine
+// track appears, each with the same number of events, and that number
+// is core's commit-stride cadence — one sample per 32 commits on each
+// recorder lane (the setup thread shares lane 0).
+func TestRunTracedOneCounterWriter(t *testing.T) {
+	const threads, stride = 2, 32
+	rc := RunConfig{Threads: threads, WarmupNS: 100_000, MeasureNS: 400_000,
+		Metrics: metrics.New(metrics.Config{Serial: true})}
+	cell := Cell{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy}
+	var buf bytes.Buffer
+	res, err := RunTraced(cell, rc, tatp.New(tatp.Config{Subscribers: 1024}), &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	events := map[string]int{}
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "C" {
+			events[e.Name]++
+		}
+	}
+	tracks := []obs.Track{
+		obs.TrackWPQOccupancy, obs.TrackMediaWriteBusy, obs.TrackMediaReadBusy,
+		obs.TrackCacheHitRate, obs.TrackMediaWriteXP, obs.TrackMediaReadXP, obs.TrackCommits,
+	}
+	want := events[obs.TrackCommits.String()]
+	for _, tr := range tracks {
+		if got := events[tr.String()]; got == 0 || got != want {
+			t.Fatalf("track %s has %d events, want %d like every machine track: %v", tr, got, want, events)
+		}
+	}
+	// Each lane samples floor(its commits / stride) times.
+	total := int(res.Metrics.Commits)
+	if want*stride > total || total >= (want+threads+1)*stride {
+		t.Fatalf("%d samples per track for %d commits: not one sample per %d commits per lane", want, total, stride)
 	}
 }
 

@@ -19,10 +19,6 @@ import (
 	"goptm/internal/workload/kvstore"
 )
 
-// seriesSamples is how many fixed-interval samples a counters-enabled
-// sweep cell records across its warmup + measurement window.
-const seriesSamples = 64
-
 // panelJob builds the runner job for one (cell, thread-count) point.
 func panelJob(mk WorkloadMaker, cell Cell, n int, p Params) runner.Job[Result] {
 	return runner.Job[Result]{
@@ -34,10 +30,7 @@ func panelJob(mk WorkloadMaker, cell Cell, n int, p Params) runner.Job[Result] {
 				rc.Recorder = obs.New(n, false) // breakdown accounting, no event retention
 			}
 			if p.Counters {
-				rc.Metrics = metrics.New(metrics.Config{
-					SampleIntervalNS: (p.WarmupNS + p.MeasureNS) / seriesSamples,
-					Serial:           true, // harness machines always run lockstep
-				})
+				rc.Metrics = metrics.New(metrics.Config{Serial: true}) // harness machines always run lockstep
 			}
 			return Run(cell, rc, mk.Make(p))
 		},

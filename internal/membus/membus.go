@@ -95,12 +95,11 @@ type Config struct {
 	NoPrefetch       bool
 	NoAsyncWriteback bool
 	// Recorder attaches observability: per-thread stall spans
-	// (fence-wait, WPQ stall, media wait) and, when tracing, the WPQ
-	// occupancy counter track. nil disables it at zero cost.
+	// (fence-wait, WPQ stall, media wait). nil disables it at zero cost.
 	Recorder *obs.Recorder
 	// Metrics attaches the PMWatch-style counter registry: the memory
 	// controller feeds its media model (XPLine write/read traffic) and
-	// WPQ pressure gauge. nil disables it at zero cost.
+	// tracks the WPQ's maximum occupancy. nil disables it at zero cost.
 	Metrics *metrics.Registry
 }
 
@@ -251,15 +250,6 @@ func New(cfg Config) (*Bus, error) {
 	}
 	if cfg.Metrics != nil {
 		b.ctl.SetMetrics(cfg.Metrics)
-	}
-	if cfg.Recorder.Tracing() {
-		// WPQ occupancy is a machine-level quantity: feed every accept
-		// into the shared counter lane. Tracing-only; the callback cost
-		// never touches measurement configurations.
-		rec := cfg.Recorder
-		b.ctl.SetObserver(func(acceptVT, stallNS int64, occupancy int) {
-			rec.CountShared(obs.TrackWPQOccupancy, acceptVT, float64(occupancy))
-		})
 	}
 	if cfg.Domain.DRAMCachesNVM() || cfg.Domain == durability.PDRAMLite {
 		b.pcache = pagecache.New(pagecache.Config{

@@ -2,8 +2,9 @@
 // the simulated machine: a registry of device-event counters, a small
 // media model that translates 64 B line traffic into 256 B XPLine
 // media accesses through an XPBuffer LRU (the quantity behind read and
-// write amplification on Optane DC), and a fixed-interval virtual-time
-// sampler that turns a run into a plottable time series.
+// write amplification on Optane DC). The registry keeps totals only:
+// a traced run's counter tracks are sampled from it by core's
+// commit-stride sampler, the one writer of every machine track.
 //
 // The registry follows the same nil-safe discipline as obs.Recorder:
 // every method is safe on a nil receiver and returns immediately, so
@@ -11,8 +12,7 @@
 // leave the registry detached. Counters are a fixed array of atomics
 // and the XPBuffers are fixed arrays, so an attached registry adds a
 // handful of integer operations per event and never allocates on the
-// operation path (the time series appends only on its sampling ticks,
-// which fire on the commit path).
+// operation path.
 //
 // Counting is pure accounting: no registry call ever advances virtual
 // time, which is what keeps sweep output byte-identical whether
@@ -22,8 +22,6 @@ package metrics
 import (
 	"sync"
 	"sync/atomic"
-
-	"goptm/internal/obs"
 )
 
 // Counter identifies one registry counter. The registry owns the
@@ -64,14 +62,6 @@ const (
 	CtrMediaBulkWriteLines
 	CtrMediaBulkReadLines
 
-	// WPQ pressure as seen by the series sampler (the controller keeps
-	// its own authoritative per-cause accounting; these mirror the
-	// totals so Tick can snapshot them without reaching into the
-	// controller).
-	CtrWPQAccepts
-	CtrWPQStallNS
-	CtrWPQStallEvents
-
 	// Serving layer (internal/server): requests completed, requests
 	// shed by backpressure or deadline, transactions used as coalesced
 	// commit batches, and the total operations those batches carried
@@ -93,7 +83,6 @@ var counterNames = [NumCounters]string{
 	"media_write_xplines", "media_read_xplines",
 	"xpbuf_write_hits", "xpbuf_read_hits",
 	"media_bulk_write_lines", "media_bulk_read_lines",
-	"wpq_accepts", "wpq_stall_ns", "wpq_stall_events",
 	"srv_requests", "srv_shed", "srv_batches", "srv_batched_ops",
 }
 
@@ -119,25 +108,9 @@ const (
 
 // Config parameterizes a Registry.
 type Config struct {
-	// SampleIntervalNS is the virtual-time distance between time-series
-	// samples; 0 disables the series (counters still accumulate).
-	SampleIntervalNS int64
 	// Serial promises that the lockstep scheduler serializes every
-	// caller, letting the media model and sampler skip their locking.
+	// caller, letting the media model skip its locking.
 	Serial bool
-}
-
-// Sample is one fixed-interval snapshot of the cumulative counters at
-// virtual time VT. Consecutive samples differenced give rates (e.g.
-// commit throughput, media write bandwidth) over the run.
-type Sample struct {
-	VT           int64 `json:"vt_ns"`
-	Commits      int64 `json:"commits"`
-	Aborts       int64 `json:"aborts"`
-	MediaWriteXP int64 `json:"media_write_xplines"`
-	MediaReadXP  int64 `json:"media_read_xplines"`
-	WPQOccupancy int64 `json:"wpq_occupancy"`
-	WPQStallNS   int64 `json:"wpq_stall_ns"`
 }
 
 // xpBuffer is a tiny LRU of open XPLine numbers, move-to-front in a
@@ -166,31 +139,19 @@ func (b *xpBuffer) probe(xp uint64) bool {
 }
 
 // Registry is the counter registry of one simulated machine. A nil
-// *Registry is the disabled configuration; every method no-ops. The
-// zero Config (New(Config{})) yields a registry that counts but never
-// samples — the always-on configuration core.TM uses for its own
-// outcome counters.
+// *Registry is the disabled configuration; every method no-ops.
 type Registry struct {
 	counters [NumCounters]atomic.Int64
 
-	serial         bool
-	sampleInterval int64
-	nextSample     atomic.Int64
-
-	mu      sync.Mutex
-	wbuf    xpBuffer
-	rbuf    xpBuffer
-	wpqOcc  int64 // gauge: occupancy observed at the last WPQ accept
-	samples []Sample
+	serial bool
+	mu     sync.Mutex
+	wbuf   xpBuffer
+	rbuf   xpBuffer
 }
 
 // New builds a registry.
 func New(cfg Config) *Registry {
-	m := &Registry{serial: cfg.Serial, sampleInterval: cfg.SampleIntervalNS}
-	if cfg.SampleIntervalNS > 0 {
-		m.nextSample.Store(cfg.SampleIntervalNS)
-	}
-	return m
+	return &Registry{serial: cfg.Serial}
 }
 
 // Add adds delta to counter c.
@@ -207,19 +168,6 @@ func (m *Registry) Get(c Counter) int64 {
 		return 0
 	}
 	return m.counters[c].Load()
-}
-
-// ResetTxnCounters zeroes the transaction-outcome and log-volume
-// counters (CtrCommits through CtrLogBytes) — the warmup-exclusion
-// reset. Device and media counters are left cumulative, matching the
-// component counters (WPQ, caches) they are reported alongside.
-func (m *Registry) ResetTxnCounters() {
-	if m == nil {
-		return
-	}
-	for c := CtrCommits; c <= CtrLogBytes; c++ {
-		m.counters[c].Store(0)
-	}
 }
 
 // MediaWriteLine records one 64 B line flush reaching the controller:
@@ -282,85 +230,4 @@ func (m *Registry) MediaBulkRead(lines int) {
 	}
 	m.counters[CtrMediaBulkReadLines].Add(int64(lines))
 	m.counters[CtrMediaReadXPLines].Add(int64((lines + LinesPerXP - 1) / LinesPerXP))
-}
-
-// WPQAccept mirrors one WPQ accept into the registry: the queue-full
-// stall it suffered and the post-accept occupancy (the series gauge).
-func (m *Registry) WPQAccept(stallNS int64, occupancy int) {
-	if m == nil {
-		return
-	}
-	m.counters[CtrWPQAccepts].Add(1)
-	if stallNS > 0 {
-		m.counters[CtrWPQStallNS].Add(stallNS)
-		m.counters[CtrWPQStallEvents].Add(1)
-	}
-	if !m.serial {
-		m.mu.Lock()
-	}
-	m.wpqOcc = int64(occupancy)
-	if !m.serial {
-		m.mu.Unlock()
-	}
-}
-
-// Tick advances the time-series sampler to virtual time nowVT,
-// appending one sample per elapsed interval boundary. The runtime
-// calls it from the commit path; with no series configured the cost is
-// two loads.
-func (m *Registry) Tick(nowVT int64) {
-	if m == nil || m.sampleInterval <= 0 {
-		return
-	}
-	if nowVT < m.nextSample.Load() {
-		return
-	}
-	if !m.serial {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	next := m.nextSample.Load()
-	for nowVT >= next {
-		m.samples = append(m.samples, Sample{
-			VT:           next,
-			Commits:      m.counters[CtrCommits].Load(),
-			Aborts:       m.counters[CtrAborts].Load(),
-			MediaWriteXP: m.counters[CtrMediaWriteXPLines].Load(),
-			MediaReadXP:  m.counters[CtrMediaReadXPLines].Load(),
-			WPQOccupancy: m.wpqOcc,
-			WPQStallNS:   m.counters[CtrWPQStallNS].Load(),
-		})
-		next += m.sampleInterval
-	}
-	m.nextSample.Store(next)
-}
-
-// Samples returns a copy of the time series recorded so far.
-func (m *Registry) Samples() []Sample {
-	if m == nil {
-		return nil
-	}
-	if !m.serial {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	out := make([]Sample, len(m.samples))
-	copy(out, m.samples)
-	return out
-}
-
-// ExportTracks replays the time series onto the recorder's counter
-// tracks so the Perfetto trace carries the sampled WPQ occupancy,
-// media write/read XPLine totals, and commit count alongside the span
-// lanes. No-op unless the recorder retains trace events.
-func (m *Registry) ExportTracks(rec *obs.Recorder) {
-	if m == nil || !rec.Tracing() {
-		return
-	}
-	for _, s := range m.Samples() {
-		rec.CountShared(obs.TrackWPQOccupancy, s.VT, float64(s.WPQOccupancy))
-		rec.CountShared(obs.TrackMediaWriteXP, s.VT, float64(s.MediaWriteXP))
-		rec.CountShared(obs.TrackMediaReadXP, s.VT, float64(s.MediaReadXP))
-		rec.CountShared(obs.TrackCommits, s.VT, float64(s.Commits))
-	}
 }

@@ -11,16 +11,9 @@ func TestNilRegistry(t *testing.T) {
 	m.MediaReadLine(3)
 	m.MediaBulkWrite(8)
 	m.MediaBulkRead(8)
-	m.WPQAccept(10, 5)
-	m.Tick(1000)
-	m.ResetTxnCounters()
 	if got := m.Get(CtrCommits); got != 0 {
 		t.Fatalf("nil registry Get = %d, want 0", got)
 	}
-	if s := m.Samples(); s != nil {
-		t.Fatalf("nil registry Samples = %v, want nil", s)
-	}
-	m.ExportTracks(nil)
 }
 
 func TestCounterNames(t *testing.T) {
@@ -108,85 +101,10 @@ func TestBulkRounding(t *testing.T) {
 	}
 }
 
-// TestTickSeries checks interval boundaries: one sample per elapsed
-// interval, stamped at the boundary, carrying cumulative counters.
-func TestTickSeries(t *testing.T) {
-	m := New(Config{SampleIntervalNS: 100, Serial: true})
-	m.Add(CtrCommits, 1)
-	m.Tick(50) // before the first boundary: no sample
-	if got := len(m.Samples()); got != 0 {
-		t.Fatalf("early tick sampled: %d samples", got)
-	}
-	m.Add(CtrCommits, 1)
-	m.Tick(100) // exactly on the boundary: one sample
-	m.Add(CtrCommits, 3)
-	m.Tick(350) // crosses 200 and 300: two samples
-	s := m.Samples()
-	if len(s) != 3 {
-		t.Fatalf("samples = %d, want 3", len(s))
-	}
-	wantVT := []int64{100, 200, 300}
-	wantCommits := []int64{2, 5, 5}
-	for i := range s {
-		if s[i].VT != wantVT[i] {
-			t.Errorf("sample %d VT = %d, want %d", i, s[i].VT, wantVT[i])
-		}
-		if s[i].Commits != wantCommits[i] {
-			t.Errorf("sample %d commits = %d, want %d", i, s[i].Commits, wantCommits[i])
-		}
-	}
-	// Tick never fires with no series configured.
-	m2 := New(Config{Serial: true})
-	m2.Tick(1 << 40)
-	if got := len(m2.Samples()); got != 0 {
-		t.Fatalf("series disabled but sampled %d", got)
-	}
-}
-
-func TestWPQAcceptOccupancyGauge(t *testing.T) {
-	m := New(Config{SampleIntervalNS: 10, Serial: true})
-	m.WPQAccept(0, 7)
-	m.WPQAccept(25, 63)
-	m.Tick(10)
-	s := m.Samples()
-	if len(s) != 1 || s[0].WPQOccupancy != 63 {
-		t.Fatalf("samples = %+v, want one sample with occupancy 63", s)
-	}
-	if got := m.Get(CtrWPQAccepts); got != 2 {
-		t.Fatalf("accepts = %d, want 2", got)
-	}
-	if got := m.Get(CtrWPQStallEvents); got != 1 {
-		t.Fatalf("stall events = %d, want 1 (zero-stall accepts must not count)", got)
-	}
-	if got := m.Get(CtrWPQStallNS); got != 25 {
-		t.Fatalf("stall ns = %d, want 25", got)
-	}
-}
-
-// TestResetTxnCounters pins the reset range: transaction outcomes and
-// log volume reset, media/device counters stay cumulative.
-func TestResetTxnCounters(t *testing.T) {
-	m := New(Config{Serial: true})
-	for c := Counter(0); c < NumCounters; c++ {
-		m.Add(c, 7)
-	}
-	m.ResetTxnCounters()
-	for c := CtrCommits; c <= CtrLogBytes; c++ {
-		if got := m.Get(c); got != 0 {
-			t.Errorf("%v = %d after reset, want 0", c, got)
-		}
-	}
-	for c := CtrLogBytes + 1; c < NumCounters; c++ {
-		if got := m.Get(c); got != 7 {
-			t.Errorf("%v = %d after reset, want 7 (must stay cumulative)", c, got)
-		}
-	}
-}
-
 // TestConcurrentRegistry exercises the locked (non-serial) paths under
 // the race detector.
 func TestConcurrentRegistry(t *testing.T) {
-	m := New(Config{SampleIntervalNS: 64})
+	m := New(Config{})
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -195,16 +113,11 @@ func TestConcurrentRegistry(t *testing.T) {
 				line := uint64(w*1000 + i)
 				m.MediaWriteLine(line)
 				m.MediaReadLine(line)
-				m.WPQAccept(int64(i%3), i%64)
-				m.Tick(int64(i) * 10)
 			}
 		}(w)
 	}
 	for w := 0; w < 4; w++ {
 		<-done
-	}
-	if got := m.Get(CtrWPQAccepts); got != 4000 {
-		t.Fatalf("accepts = %d, want 4000", got)
 	}
 	total := m.Get(CtrMediaWriteXPLines) + m.Get(CtrXPBufWriteHits)
 	if total != 4000 {

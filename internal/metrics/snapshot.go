@@ -82,13 +82,9 @@ type Snapshot struct {
 
 	// Orec table contention.
 	OrecCASFailures int64 `json:"orec_cas_failures"`
-
-	// Virtual-time series (empty unless sampling was configured).
-	Samples []Sample `json:"samples,omitempty"`
 }
 
-// FillRegistry copies the registry-owned counters and the time series
-// into s and computes the amplification ratios from the device-traffic
+// FillRegistry copies the registry-owned counters into s and computes the amplification ratios from the device-traffic
 // fields, which the caller must have filled first (NVMLoads/NVMStores
 // come from memdev). Write amplification is media bytes written per
 // byte stored; read amplification media bytes read per byte loaded.
@@ -111,7 +107,6 @@ func (s *Snapshot) FillRegistry(m *Registry) {
 	s.XPBufReadHits = m.Get(CtrXPBufReadHits)
 	s.MediaBulkWriteLines = m.Get(CtrMediaBulkWriteLines)
 	s.MediaBulkReadLines = m.Get(CtrMediaBulkReadLines)
-	s.Samples = m.Samples()
 	if s.NVMStores > 0 {
 		s.WriteAmp = float64(s.MediaWriteXPLines*XPLineBytes) / float64(s.NVMStores*WordBytes)
 	}

@@ -63,19 +63,19 @@ func (p Phase) String() string {
 // Track identifies one counter track of the trace.
 type Track uint8
 
-// Counter tracks. Cumulative tracks (media busy) grow monotonically;
-// the rest are instantaneous samples.
+// Counter tracks. Cumulative tracks (media busy, XPLines, commits)
+// grow monotonically; the rest are instantaneous samples.
 const (
-	TrackWPQOccupancy   Track = iota // undrained WPQ entries at an accept
+	TrackWPQOccupancy   Track = iota // undrained WPQ entries at the sample time
 	TrackMediaWriteBusy              // cumulative NVM write-port busy ms
 	TrackMediaReadBusy               // cumulative NVM read-port busy ms
 	TrackCacheHitRate                // CPU cache hit rate, percent
 	TrackPageResidency               // resident Memory-Mode page-cache frames
 	TrackPageDirty                   // dirty page-cache frames
 	TrackSweepCells                  // experiment-sweep cells completed (runner progress)
-	TrackMediaWriteXP                // cumulative 256 B XPLine media writes (metrics sampler)
-	TrackMediaReadXP                 // cumulative 256 B XPLine media reads (metrics sampler)
-	TrackCommits                     // cumulative committed transactions (metrics sampler)
+	TrackMediaWriteXP                // cumulative 256 B XPLine media writes (metrics registry)
+	TrackMediaReadXP                 // cumulative 256 B XPLine media reads (metrics registry)
+	TrackCommits                     // cumulative committed transactions (metrics registry)
 	TrackServerQueue                 // queued requests across server executor shards
 	NumTracks
 )

@@ -32,8 +32,7 @@ func goldenRecorder() *Recorder {
 	w1.Span(PhaseMediaWait, 1600, 1905)
 
 	r.CountShared(TrackWPQOccupancy, 1350, 12)
-	// The metrics sampler's tracks, as ExportTracks replays them: one
-	// cumulative sample per series point.
+	// The registry-backed tracks: cumulative XPLine and commit totals.
 	r.CountShared(TrackMediaWriteXP, 1000, 40)
 	r.CountShared(TrackMediaWriteXP, 2000, 95)
 	r.CountShared(TrackMediaReadXP, 1000, 12)
@@ -120,7 +119,7 @@ func TestWriteTraceShape(t *testing.T) {
 	}
 	for _, track := range []Track{TrackMediaWriteXP, TrackMediaReadXP, TrackCommits} {
 		if !counters[track.String()] {
-			t.Fatalf("metrics sampler track %q missing from export: %v", track, counters)
+			t.Fatalf("registry track %q missing from export: %v", track, counters)
 		}
 	}
 }

@@ -49,7 +49,6 @@ import (
 	"goptm/internal/durability"
 	"goptm/internal/membus"
 	"goptm/internal/memdev"
-	"goptm/internal/metrics"
 	"goptm/internal/obs"
 	"goptm/internal/stats"
 	"goptm/internal/workload/kvstore"
@@ -88,7 +87,6 @@ type StoreConfig struct {
 	UnsafeDomain bool
 
 	Recorder *obs.Recorder
-	Metrics  *metrics.Registry
 }
 
 func (c StoreConfig) withDefaults() StoreConfig {
@@ -135,7 +133,6 @@ func (c StoreConfig) coreConfig() core.Config {
 		MaxLogEntries: c.MaxLogEntries,
 		Lockstep:      c.Lockstep,
 		Recorder:      c.Recorder,
-		Metrics:       c.Metrics,
 	}
 }
 

@@ -115,17 +115,12 @@ type Controller struct {
 	acceptsByCause [NumCauses]int64
 	stallByCause   [NumCauses]int64
 	combinedHits   int64 // accepts that took the write-combining discount
-	maxOccupancy   int   // requires an observer or registry (see Counters)
+	maxOccupancy   int   // requires a registry (see Counters)
 	bulkReadLines  int64
 	bulkWriteLines int64
 
-	// observer, when non-nil, sees every accept: the accept time, the
-	// queue-full delay it suffered, and the post-accept occupancy.
-	// Observability hook; the measurement path leaves it nil.
-	observer func(acceptVT, stallNS int64, occupancy int)
-
 	// met, when non-nil, receives the media-model feed (per-line write
-	// traffic for the XPBuffer model) and the WPQ series gauge.
+	// traffic for the XPBuffer model).
 	met *metrics.Registry
 }
 
@@ -164,21 +159,9 @@ func New(cfg Config) *Controller {
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// SetObserver installs an accept callback (observability; nil to
-// clear). The callback runs under the controller lock and must not
-// call back into the controller. Install before traffic starts.
-func (c *Controller) SetObserver(fn func(acceptVT, stallNS int64, occupancy int)) {
-	if !c.serial {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	c.observer = fn
-}
-
 // SetMetrics attaches a counter registry (nil to detach). With a
 // registry attached the controller feeds every NVM line write into the
-// registry's media model and reports WPQ pressure per accept, and
-// tracks the queue's maximum occupancy. Install before traffic starts.
+// registry's media model and tracks the queue's maximum occupancy. Install before traffic starts.
 func (c *Controller) SetMetrics(m *metrics.Registry) {
 	if !c.serial {
 		c.mu.Lock()
@@ -243,10 +226,10 @@ func (c *Controller) EnqueueNVM(now int64, tid int, line uint64, cause Cause) (a
 	c.ringPos = (c.ringPos + 1) % len(c.ring)
 	c.accepts++
 	c.acceptsByCause[cause]++
-	if c.observer != nil || c.met != nil {
-		// The occupancy scan is O(Depth); it runs only with an observer
-		// or registry attached, so the default measurement path keeps
-		// its cost and maxOccupancy stays 0 without one (see Counters).
+	if c.met != nil {
+		// The occupancy scan is O(Depth); it runs only with a registry
+		// attached, so the default measurement path keeps its cost and
+		// maxOccupancy stays 0 without one (see Counters).
 		occ := 0
 		for _, d := range c.ring {
 			if d > accept {
@@ -256,13 +239,7 @@ func (c *Controller) EnqueueNVM(now int64, tid int, line uint64, cause Cause) (a
 		if occ > c.maxOccupancy {
 			c.maxOccupancy = occ
 		}
-		if c.observer != nil {
-			c.observer(accept, stall, occ)
-		}
-		if c.met != nil {
-			c.met.MediaWriteLine(line)
-			c.met.WPQAccept(stall, occ)
-		}
+		c.met.MediaWriteLine(line)
 	}
 	return accept, drain
 }
@@ -342,9 +319,9 @@ func (c *Controller) OccupancyAt(vt int64) int {
 // Counters is the controller's cumulative accounting: accepts and
 // queue-full stalls (total and attributed per flush cause),
 // write-combining hits, bulk transfer volume, and the maximum
-// post-accept occupancy observed. MaxOccupancy requires an observer or
-// metrics registry attached before traffic (the per-accept occupancy
-// scan is elided otherwise) and reads 0 without one.
+// post-accept occupancy observed. MaxOccupancy requires a metrics
+// registry attached before traffic (the per-accept occupancy scan is
+// elided otherwise) and reads 0 without one.
 type Counters struct {
 	Accepts        int64
 	StallNS        int64
