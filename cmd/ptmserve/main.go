@@ -17,15 +17,13 @@
 //	    With -durable (the default), acked writes are additionally
 //	    journaled to <image>.wal before each acknowledgment, so even
 //	    SIGKILL — which never reaches the image-save path — loses
-//	    nothing the server confirmed. The journal is written, never
+//	    nothing the server confirmed, in every -domain: the journal
+//	    records the acked commands, and a restart re-executes them on
+//	    top of the recovered image. The journal is written, never
 //	    fsynced: it guards against process death, which keeps the page
 //	    cache; power loss is the simulated machine's failure domain.
 //	    -durable=false drops the guarantee (the soak harness's
-//	    self-test runs it on purpose). -durable serves ADR only: the
-//	    journal holds the lines each ack barrier drains from the WPQ,
-//	    and under eADR, PDRAM and PDRAM-Lite committed lines persist
-//	    above it, so the server refuses to start rather than ack
-//	    writes a kill would lose.
+//	    self-test runs it on purpose).
 //
 // Load-simulator mode:
 //
@@ -80,7 +78,7 @@ func main() {
 	deadlineNS := flag.Int64("deadline", 1_000_000, "shed requests older than this, virtual ns; -1 disables")
 	queueDepth := flag.Int("queue", 256, "per-shard request queue depth")
 	heapWords := flag.Uint64("heap", 0, "persistent heap words (0 = default 1<<21); smaller heaps make smaller images")
-	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and flush the journal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged; ADR only: eADR and the PDRAM domains are refused")
+	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and flush the journal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged, in every -domain")
 
 	loadsimMode := flag.Bool("loadsim", false, "run the deterministic open-loop load simulator instead of serving TCP")
 	rate := flag.Float64("rate", 2e6, "loadsim: arrivals per virtual second")
@@ -202,7 +200,7 @@ func main() {
 	}
 	srv := server.Serve(st, exec, ln)
 	fmt.Printf("ptmserve: serving on %s (%s/%s, %d shards, batch<=%d)\n",
-		ln.Addr(), *algoName, domain, exec.Config().Shards, exec.Config().MaxBatch)
+		ln.Addr(), st.Config().Algo, st.Config().Domain, exec.Config().Shards, exec.Config().MaxBatch)
 	var tel *server.Telemetry
 	if *telemetry != "" {
 		tel, err = server.StartTelemetry(*telemetry, exec)

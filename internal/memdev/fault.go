@@ -201,30 +201,33 @@ func (d *Device) CrashWith(vt int64, dom durability.Domain, faults []LineFault) 
 	}
 	d.pendingClear()
 
+	// Only lines written since the last crash can differ from media: a
+	// Clean line's volatile image already equals it. Skipping them keeps
+	// a crash from touching (and so paging in) the untouched device.
 	for ln := range d.lineState {
-		if atomic.LoadUint32(&d.lineState[ln]) != LineDirtyCache {
+		state := atomic.LoadUint32(&d.lineState[ln])
+		if state == LineClean {
 			continue
 		}
-		var vol [WordsPerLine]uint64
 		base := uint64(ln) << LineShift
-		for w := uint64(0); w < WordsPerLine; w++ {
-			vol[w] = atomic.LoadUint64(&d.nvmVol[base+w])
+		if state == LineDirtyCache {
+			var vol [WordsPerLine]uint64
+			for w := uint64(0); w < WordsPerLine; w++ {
+				vol[w] = atomic.LoadUint64(&d.nvmVol[base+w])
+			}
+			if f, ok := byLine[uint64(ln)]; ok {
+				d.resolveLocked(uint64(ln), vol, f)
+			} else if dom.CachePersists() {
+				d.writeMediaLocked(uint64(ln), vol)
+			}
 		}
-		if f, ok := byLine[uint64(ln)]; ok {
-			d.resolveLocked(uint64(ln), vol, f)
-		} else if dom.CachePersists() {
-			d.writeMediaLocked(uint64(ln), vol)
-		}
+		copy(d.nvmVol[base:base+WordsPerLine], d.nvmMedia[base:])
+		atomic.StoreUint32(&d.lineState[ln], LineClean)
 	}
-
-	copy(d.nvmVol, d.nvmMedia)
 	d.mu.Unlock()
 
 	for i := range d.dramVol {
 		atomic.StoreUint64(&d.dramVol[i], 0)
-	}
-	for i := range d.lineState {
-		atomic.StoreUint32(&d.lineState[i], LineClean)
 	}
 }
 

@@ -418,15 +418,6 @@ func (d *Device) MediaLoad(a Addr) uint64 {
 // and the maximum drain completion time among them; a caller modeling
 // an honest wait should advance its virtual clock to that time.
 func (d *Device) DrainAll() (applied int, maxDrainVT int64) {
-	return d.DrainEach(nil)
-}
-
-// DrainEach is DrainAll that also hands each applied (line, payload)
-// to visit, with the device's serialization held — the serving
-// layer's durable-ack barrier journals exactly these lines. A line has
-// at most one pending entry, so visit sees each line once, in no
-// particular order.
-func (d *Device) DrainEach(visit func(ln uint64, payload [WordsPerLine]uint64)) (applied int, maxDrainVT int64) {
 	if !d.serial {
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -438,9 +429,6 @@ func (d *Device) DrainEach(visit func(ln uint64, payload [WordsPerLine]uint64)) 
 		p := &d.pendingEnt[i]
 		d.pendingIdx[p.line] = 0
 		copy(d.nvmMedia[p.line<<LineShift:], p.payload[:])
-		if visit != nil {
-			visit(p.line, p.payload)
-		}
 		maxDrainVT = max(maxDrainVT, p.drainVT)
 	}
 	applied = d.pendingLive

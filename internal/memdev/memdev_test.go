@@ -1,7 +1,6 @@
 package memdev
 
 import (
-	"maps"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -357,10 +356,10 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestDrainEachVisitsEachAppliedLineOnce(t *testing.T) {
+func TestDrainAllAppliesEachLiveLineOnce(t *testing.T) {
 	d := newDev(t)
-	// Three lines with out-of-order drain times, line 5 fenced and then
-	// superseded: its fenced payload is committed to media at the
+	// Three live lines with out-of-order drain times, line 5 fenced and
+	// then superseded: its fenced payload is committed to media at the
 	// re-flush, and only the newer payload is still pending.
 	d.Store(LineAddr(3), 33)
 	d.WPQAccept(3, 900)
@@ -379,21 +378,11 @@ func TestDrainEachVisitsEachAppliedLineOnce(t *testing.T) {
 	d.Store(LineAddr(7), 77)
 	d.WPQAccept(7, 300)
 	d.MediaWriteLine(7, [WordsPerLine]uint64{7})
-	seen := map[uint64]uint64{}
-	n, maxVT := d.DrainEach(func(ln uint64, payload [WordsPerLine]uint64) {
-		if _, dup := seen[ln]; dup {
-			t.Fatalf("line %d visited twice", ln)
-		}
-		seen[ln] = payload[0]
-	})
+	n, maxVT := d.DrainAll()
 	if n != 3 || maxVT != 900 {
-		t.Fatalf("DrainEach = (%d, %d), want (3, 900)", n, maxVT)
+		t.Fatalf("DrainAll = (%d, %d), want (3, 900)", n, maxVT)
 	}
-	want := map[uint64]uint64{1: 11, 3: 33, 5: 55}
-	if !maps.Equal(seen, want) {
-		t.Fatalf("visited %v, want %v", seen, want)
-	}
-	for ln, v := range want {
+	for ln, v := range map[uint64]uint64{1: 11, 3: 33, 5: 55, 7: 7} {
 		if got := d.MediaLoad(LineAddr(ln)); got != v {
 			t.Fatalf("media line %d = %d, want %d", ln, got, v)
 		}
@@ -402,9 +391,7 @@ func TestDrainEachVisitsEachAppliedLineOnce(t *testing.T) {
 		t.Fatalf("pending not cleared: %d", d.PendingLines())
 	}
 	// Idempotent on an empty pending set.
-	if n, _ := d.DrainEach(func(ln uint64, _ [WordsPerLine]uint64) {
-		t.Fatalf("line %d visited on an empty drain", ln)
-	}); n != 0 {
+	if n, _ := d.DrainAll(); n != 0 {
 		t.Fatalf("second drain applied %d entries", n)
 	}
 }
@@ -449,12 +436,8 @@ func TestMediaObserverSeesSupersedeCommit(t *testing.T) {
 	if got := d.MediaLoad(LineAddr(5)); got != 1 {
 		t.Fatalf("media line 5 = %d, want the fenced payload 1", got)
 	}
-	var got []uint64
-	d.DrainEach(func(ln uint64, payload [WordsPerLine]uint64) {
-		got = append(got, payload[0])
-	})
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("drain saw %v, want the newer payload [2]", got)
+	if n, _ := d.DrainAll(); n != 1 {
+		t.Fatalf("drain applied %d entries, want only the newer payload", n)
 	}
 	if v := d.MediaLoad(LineAddr(5)); v != 2 {
 		t.Fatalf("media line 5 = %d after drain, want 2", v)

@@ -79,6 +79,22 @@ type Request struct {
 	Err      error  // kv-layer error (bad key, non-numeric incr, drain)
 }
 
+// run executes req against kv inside tx — for the executor's batches
+// and for journal replay alike. The body re-runs on abort: every result
+// field is plainly overwritten so retries stay idempotent.
+func (req *Request) run(tx *core.Tx, kv kvstore.KV) {
+	switch req.Op {
+	case OpGet:
+		req.Val, req.ValFlags, req.Found = kv.Get(tx, req.Key)
+	case OpSet:
+		req.Err = kv.Set(tx, req.Key, req.Value, req.Flags)
+	case OpDelete:
+		req.Found = kv.Delete(tx, req.Key)
+	case OpIncr:
+		req.NewVal, req.Found, req.Err = kv.Incr(tx, req.Key, req.Delta)
+	}
+}
+
 // ErrDraining completes requests still queued when the executor shuts
 // down.
 var ErrDraining = errors.New("server: executor draining")
@@ -167,7 +183,7 @@ type shard struct {
 	statsMu    sync.Mutex
 	latency    stats.Histogram // enqueue→completion, virtual ns
 	batchSizes stats.Histogram
-	ackLat     stats.Histogram // durable-ack barrier (drain+journal), host ns
+	ackLat     stats.Histogram // durable-ack barrier (journal append+flush), host ns
 	shed       atomic.Int64    // per-shard deadline sheds (Snapshot reads it live)
 }
 
@@ -192,9 +208,10 @@ type completion struct {
 	// Lifecycle-clock boundaries (Executor.clock: virtual ns, host ns
 	// under WallClock), a flight record's TS[3..7]: the batch closed and
 	// its transaction began, the transaction returned, the WPQ drained
-	// onto media, the journal flushed, the members were acknowledged. A
-	// batch with no barrier — and every shed or swept one — collapses
-	// the later ones onto the earlier.
+	// onto media, the journal flushed, the members were acknowledged.
+	// Nothing drains the WPQ on the ack path, so drained always equals
+	// ran; a batch with no barrier — and every shed or swept one —
+	// collapses the later ones onto the earlier too.
 	closed, ran, drained, flushed, acked int64
 	end                                  int64 // shard virtual clock at completion
 	barrierNS                            int64 // durable-ack barrier host time; 0 when none ran
@@ -208,12 +225,11 @@ type Executor struct {
 	cfg ExecConfig
 	met *metrics.Registry
 	rec *obs.Recorder
-	// durable runs the durable-ack barrier (Store.DrainMedia, then
+	// durable runs the durable-ack barrier (journal append, then
 	// Store.FlushJournal) after every batch that contains a write,
 	// before any request in the batch completes, so an acked write
 	// survives a kill of the host process. Set iff the store has a
-	// journal: without one the barrier would protect nothing, and its
-	// drain waits would shift loadsim's pinned latency curves.
+	// journal: without one the barrier would protect nothing.
 	durable bool
 
 	shards []*shard
@@ -401,37 +417,25 @@ func (e *Executor) runShard(s *shard, th *core.Thread) {
 // Deadline shedding already happened at pop time.
 func (e *Executor) execBatch(s *shard, th *core.Thread, live []*Request) {
 	d := e.begin(s, batchExecuted, live, th.Now())
-	kv := e.st.kv
 	th.Atomic(func(tx *core.Tx) {
-		// The body re-runs on abort: every result field is plainly
-		// overwritten so retries stay idempotent.
 		for _, req := range live {
-			switch req.Op {
-			case OpGet:
-				req.Val, req.ValFlags, req.Found = kv.Get(tx, req.Key)
-			case OpSet:
-				req.Err = kv.Set(tx, req.Key, req.Value, req.Flags)
-			case OpDelete:
-				req.Found = kv.Delete(tx, req.Key)
-			case OpIncr:
-				req.NewVal, req.Found, req.Err = kv.Incr(tx, req.Key, req.Delta)
-			}
+			req.run(tx, e.st.kv)
 		}
 	})
 	// Each boundary is stamped at the moment it happens: under
 	// WallClock the lifecycle clock is "now", so a stamp deferred past
-	// the barrier would order after it. Without a barrier the drain and
-	// journal boundaries collapse onto the execute end (zero-width
+	// the barrier would order after it. Nothing drains the WPQ on the
+	// ack path, so the drain boundary always sits on the execute end;
+	// without a barrier the journal boundary does too (zero-width
 	// phases keep the chain telescoping).
 	d.ran = e.clock(th.Now())
 	d.drained, d.flushed = d.ran, d.ran
 	if e.durable && slices.ContainsFunc(live, func(req *Request) bool { return req.Op != OpGet }) {
-		// The durable-ack barrier: WPQ entries onto simulated media
-		// first, then the journal batch onto the host file. No member
-		// completes before both return.
+		// The durable-ack barrier: the batch's committed writes are
+		// journaled and the journal batch is written to the host file.
+		// No member completes before the flush returns.
 		barrier := time.Now()
-		e.st.DrainMedia(th)
-		d.drained = e.clock(th.Now())
+		e.st.wal.append(live)
 		err := e.st.FlushJournal()
 		d.barrierNS = time.Since(barrier).Nanoseconds()
 		d.flushed = e.clock(th.Now())

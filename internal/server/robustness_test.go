@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,117 +20,173 @@ import (
 	"goptm/internal/durability"
 )
 
-// populateDurable opens a durable store at path, writes n keys through
-// an executor built with no barrier setting (a journaled store backs
-// every response with the journal by itself), and returns without
-// saving an image — the moral equivalent of a SIGKILL: whatever the
-// next open reconstructs must include every acked write.
-func populateDurable(t *testing.T, path string, algo core.Algo, n int) *Store {
+// durableRound is one life of the durable store at path: open it
+// (replaying whatever journal the previous life left) and check that
+// every promise in want survived, then acknowledge n sets of keys
+// [from, from+n), an incr of key from and a delete of key from+1 —
+// every record kind — through an executor built with no barrier
+// setting (a journaled store backs every response with the journal by
+// itself), recording each promise in want. It stops without
+// Crash/SaveImage, the moral equivalent of a SIGKILL: durability must
+// come from the journal alone.
+func durableRound(t *testing.T, path string, cfg StoreConfig, ring *FlightRecorder, from, n int, want map[string]string) *Store {
 	t.Helper()
-	st, err := OpenDurable(path, StoreConfig{Algo: algo, Shards: 2, Heap: 1 << 18})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1})
-	for i := 0; i < n; i++ {
-		r := submit(t, exec, &Request{
-			Op:    OpSet,
-			Key:   fmt.Appendf(nil, "wal-key-%d", i),
-			Value: fmt.Appendf(nil, "wal-value-%d", i),
-		})
-		if r.Err != nil {
-			t.Fatalf("set %d: %v", i, r.Err)
+	st := reopenDurable(t, path, cfg, want)
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, Flight: ring})
+	ack := func(req *Request) *Request {
+		t.Helper()
+		if r := submit(t, exec, req); r.Err != nil || (r.Op != OpSet && !r.Found) {
+			t.Fatalf("%v %s: found %v, err %v", r.Op, r.Key, r.Found, r.Err)
 		}
+		return req
 	}
-	// Stop the shard workers (so the test doesn't leak goroutines) but
-	// deliberately skip Crash/SaveImage: the image on disk is still the
-	// empty base, and durability must come from the journal alone.
+	key := func(i int) string { return fmt.Sprintf("wal-key-%d", i) }
+	for i := from; i < from+n; i++ {
+		ack(&Request{Op: OpSet, Key: []byte(key(i)), Value: []byte(strconv.Itoa(i))})
+		want[key(i)] = strconv.Itoa(i)
+	}
+	r := ack(&Request{Op: OpIncr, Key: []byte(key(from)), Delta: 1000})
+	want[key(from)] = strconv.FormatUint(r.NewVal, 10)
+	ack(&Request{Op: OpDelete, Key: []byte(key(from + 1))})
+	want[key(from+1)] = ""
+	// Stop the shard workers, so the test doesn't leak goroutines.
 	exec.Drain()
 	return st
 }
 
-// reopenAfterKill reopens the durable store at path as a restart after
-// a process kill would, and checks that journal replay restored all n
-// keys populateDurable acked.
-func reopenAfterKill(t *testing.T, path string, n int) *Store {
+// reopenDurable opens the durable store at path, as a restart after a
+// process kill would, and checks every acked promise in want: a value,
+// or "" for a key that must be absent. A non-empty want demands that a
+// journal was replayed.
+func reopenDurable(t *testing.T, path string, cfg StoreConfig, want map[string]string) *Store {
 	t.Helper()
-	st, err := OpenDurable(path, StoreConfig{})
+	st, err := OpenDurable(path, cfg)
 	if err != nil {
-		t.Fatalf("reopen after simulated kill: %v", err)
+		t.Fatalf("open durable store: %v", err)
 	}
-	if st.WALBatches == 0 {
+	if len(want) > 0 && st.WALBatches == 0 {
 		t.Fatal("reopen replayed no journal batches")
 	}
+	checkKeys(t, st, want)
+	return st
+}
+
+// checkKeys checks st's table against want: a value, or "" for a key
+// that must be absent.
+func checkKeys(t *testing.T, st *Store, want map[string]string) {
+	t.Helper()
 	th := st.TM().Thread(0)
 	defer th.Detach()
 	kv := st.KV()
 	th.Atomic(func(tx *core.Tx) {
-		for i := 0; i < n; i++ {
-			v, _, ok := kv.Get(tx, fmt.Appendf(nil, "wal-key-%d", i))
-			if !ok || !bytes.Equal(v, fmt.Appendf(nil, "wal-value-%d", i)) {
-				t.Fatalf("acked wal-key-%d lost across process kill: %q, %v", i, v, ok)
+		for k, w := range want {
+			if v, _, ok := kv.Get(tx, []byte(k)); ok != (w != "") || string(v) != w {
+				t.Fatalf("acked %s = %q lost across process kill: have %q, %v", k, w, v, ok)
 			}
 		}
 	})
-	return st
 }
 
+// TestDurableAckSurvivesProcessKill: in every durability domain, under
+// redo and undo, every acked set, incr and delete survives two process
+// kills in a row — the second after a life that replayed the first
+// kill's journal and appended to it — and then a clean save.
 func TestDurableAckSurvivesProcessKill(t *testing.T) {
 	for _, algo := range []core.Algo{core.OrecLazy, core.OrecEager} {
 		t.Run(algo.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "kv.img")
-			const n = 50
-			populateDurable(t, path, algo, n)
-			if _, err := os.Stat(WALPath(path)); err != nil {
-				t.Fatalf("no journal after durable writes: %v", err)
-			}
-			st2 := reopenAfterKill(t, path, n)
-			if st2.Config().Algo != algo {
-				t.Fatalf("reopened as %v, want %v", st2.Config().Algo, algo)
-			}
+			for _, dom := range []durability.Domain{durability.ADR, durability.EADR, durability.PDRAM, durability.PDRAMLite} {
+				t.Run(dom.String(), func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "kv.img")
+					const n = 30
+					want := map[string]string{}
+					durableRound(t, path, StoreConfig{Algo: algo, Domain: dom, Shards: 2, Heap: 1 << 18}, nil, 0, n, want)
+					if _, err := os.Stat(WALPath(path)); err != nil {
+						t.Fatalf("no journal after durable writes: %v", err)
+					}
+					durableRound(t, path, StoreConfig{}, nil, n, n, want)
+					st := reopenDurable(t, path, StoreConfig{}, want)
+					if c := st.Config(); c.Algo != algo || c.Domain != dom {
+						t.Fatalf("reopened as %v/%v, want %v/%v", c.Algo, c.Domain, algo, dom)
+					}
 
-			// Clean shutdown: crash, save, finish. The journal is consumed
-			// into the image and removed; what remains reopens without it.
-			st2.Crash(0)
-			if err := st2.SaveImage(path); err != nil {
-				t.Fatal(err)
+					// Clean shutdown: crash, save, finish. The journal is
+					// consumed into the image and removed; what remains
+					// reopens without it.
+					st.Crash(0)
+					if err := st.SaveImage(path); err != nil {
+						t.Fatal(err)
+					}
+					st.FinishJournal()
+					if _, err := os.Stat(WALPath(path)); !os.IsNotExist(err) {
+						t.Fatalf("journal still present after FinishJournal: %v", err)
+					}
+					st, err := OpenImage(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkKeys(t, st, want)
+				})
 			}
-			st2.FinishJournal()
-			if _, err := os.Stat(WALPath(path)); !os.IsNotExist(err) {
-				t.Fatalf("journal still present after FinishJournal: %v", err)
-			}
-			st3, err := OpenImage(path)
+		})
+	}
+}
+
+// TestOpenDurableServesCacheDomains: an image saved by a store with no
+// journal, under a domain whose committed lines persist above the WPQ,
+// reopens durably in its own domain, and the writes acked after that
+// survive two process kills.
+func TestOpenDurableServesCacheDomains(t *testing.T) {
+	for _, d := range []durability.Domain{durability.EADR, durability.PDRAM, durability.PDRAMLite} {
+		t.Run(d.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kv.img")
+			st, err := Open(StoreConfig{Domain: d, Shards: 1, Heap: 1 << 18})
 			if err != nil {
 				t.Fatal(err)
 			}
-			th := st3.TM().Thread(0)
-			defer th.Detach()
-			kv := st3.KV()
-			th.Atomic(func(tx *core.Tx) {
-				if _, _, ok := kv.Get(tx, []byte("wal-key-0")); !ok {
-					t.Fatal("key lost across clean save")
-				}
-			})
+			st.Crash(0)
+			if err := st.SaveImage(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(WALPath(path)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("a store with no journal left one: %v", err)
+			}
+
+			const n = 10
+			want := map[string]string{}
+			st = durableRound(t, path, StoreConfig{}, nil, 0, n, want)
+			if c := st.Config(); c.Domain != d {
+				t.Fatalf("%v image reopened durably as %v", d, c.Domain)
+			}
+			durableRound(t, path, StoreConfig{}, nil, n, n, want)
+			reopenDurable(t, path, StoreConfig{}, want)
 		})
 	}
 }
 
 // TestBarrierFollowsJournal: the executor derives the durable-ack
 // barrier from the store; its config has no barrier setting. A
-// journaled store runs the barrier once per write batch, and its acked
-// keys survive a kill with no image save; a store with no journal runs
-// none, so every flight record's drain boundary sits on its
-// transaction's return.
+// journaled store runs the barrier once per write batch, never drains
+// the WPQ on the ack path, and its acked keys survive a kill with no
+// image save; a store with no journal runs none, so every flight
+// record's drain and journal boundaries sit on its transaction's
+// return.
 func TestBarrierFollowsJournal(t *testing.T) {
 	const n = 20
 	t.Run("journaled", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "kv.img")
-		st := populateDurable(t, path, core.OrecLazy, n)
+		ring := NewFlightRecorder(64)
+		want := map[string]string{}
+		st := durableRound(t, path, StoreConfig{Shards: 1, Heap: 1 << 18}, ring, 0, n, want)
 		h := st.JournalFlushStats()
-		if got := h.Count(); got != n {
-			t.Fatalf("%d journal flushes for %d acked sets", got, n)
+		if got := h.Count(); got != n+2 {
+			t.Fatalf("%d journal flushes for %d acked writes", got, n+2)
 		}
-		reopenAfterKill(t, path, n).TM().Thread(0).Detach()
+		for _, r := range ring.Snapshot() {
+			if r.TS[5] != r.TS[4] {
+				t.Fatalf("record %d: ran %d, drained %d: the ack path drained the WPQ", r.Seq, r.TS[4], r.TS[5])
+			}
+		}
+		reopenDurable(t, path, StoreConfig{}, want)
 	})
 	t.Run("no-journal", func(t *testing.T) {
 		st := testStore(t, StoreConfig{Shards: 1})
@@ -154,7 +212,7 @@ func TestBarrierFollowsJournal(t *testing.T) {
 func TestTornJournalTailDroppedWhole(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.img")
-	populateDurable(t, path, core.OrecLazy, 10)
+	durableRound(t, path, StoreConfig{Shards: 2, Heap: 1 << 18}, nil, 0, 10, map[string]string{})
 
 	// Simulate a kill mid-append: chop the journal mid-batch and tack
 	// garbage on. Replay must apply the valid prefix and drop the tail
@@ -185,7 +243,7 @@ func TestTornJournalTailDroppedWhole(t *testing.T) {
 func TestStaleJournalIgnoredAfterSave(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kv.img")
-	populateDurable(t, path, core.OrecLazy, 5)
+	durableRound(t, path, StoreConfig{Shards: 2, Heap: 1 << 18}, nil, 0, 5, map[string]string{})
 
 	// Reopen (journal replayed), save a new image — but "fail" to
 	// remove the journal, as a kill between SaveImage and FinishJournal
@@ -314,39 +372,83 @@ func TestUnexaminablePathIsNotAFreshStart(t *testing.T) {
 	}
 }
 
-// TestOpenDurableRefusesCacheDomains: under eADR, PDRAM and PDRAM-Lite
-// committed lines persist above the WPQ and never reach the journal, so
-// a durable store there would ack writes a process kill loses (the TM
-// header first of all). OpenDurable must refuse, naming the domain —
-// for a fresh store before any file exists, and for an image whose
-// header names such a domain before a journal is created.
-func TestOpenDurableRefusesCacheDomains(t *testing.T) {
-	for _, d := range []durability.Domain{durability.EADR, durability.PDRAM, durability.PDRAMLite} {
-		t.Run(d.String(), func(t *testing.T) {
-			cfg := StoreConfig{Domain: d, Shards: 1, Heap: 1 << 18}
-			dir := t.TempDir()
-			path := filepath.Join(dir, "kv.img")
-			if _, err := OpenDurable(path, cfg); err == nil || !strings.Contains(err.Error(), d.String()) {
-				t.Fatalf("fresh OpenDurable under %v: err = %v; want a refusal naming the domain", d, err)
-			}
-			if got, _ := os.ReadDir(dir); len(got) != 0 {
-				t.Fatalf("refused open left %d files behind", len(got))
-			}
+// TestOldJournalFormatRefused: a journal in the line-record format
+// (magic PTMKVWL1) holds acked writes this binary cannot replay.
+// OpenDurable must refuse it, naming the file, and leave its bytes
+// untouched — never truncate it as a stale or torn journal.
+func TestOldJournalFormatRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kv.img")
+	reopenDurable(t, path, StoreConfig{Shards: 1, Heap: 1 << 18}, nil).FinishJournal()
+	old := append([]byte("PTMKVWL1"), bytes.Repeat([]byte{1}, 8+16+72)...)
+	if err := os.WriteFile(WALPath(path), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDurable(path, StoreConfig{}); err == nil || !strings.Contains(err.Error(), WALPath(path)) {
+		t.Fatalf("OpenDurable over a PTMKVWL1 journal: err = %v; want a refusal naming the file", err)
+	}
+	if got, err := os.ReadFile(WALPath(path)); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("refused journal was modified: %v", err)
+	}
+}
 
-			st, err := Open(cfg)
+// TestMalformedJournalRecordRefused: a batch whose checksum holds but
+// whose records do not parse, or name no write, was not written by
+// this grammar. Reopening must fail rather than replay a guess.
+func TestMalformedJournalRecordRefused(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"key overruns batch": {byte(OpSet), 5, 'k'},
+		"unknown op":         {9, 1, 'k', 0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kv.img")
+			durableRound(t, path, StoreConfig{Shards: 1, Heap: 1 << 18}, nil, 0, 2, map[string]string{})
+			data, err := os.ReadFile(WALPath(path))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.SaveImage(path); err != nil {
+			gen := binary.LittleEndian.Uint64(data[8:16])
+			data = binary.LittleEndian.AppendUint64(data, uint64(len(body)))
+			data = append(binary.LittleEndian.AppendUint64(data, batchSum(gen, body)), body...)
+			if err := os.WriteFile(WALPath(path), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := OpenDurable(path, StoreConfig{}); err == nil || !strings.Contains(err.Error(), d.String()) {
-				t.Fatalf("reopening a %v image durably: err = %v; want a refusal naming the domain", d, err)
-			}
-			if _, err := os.Stat(WALPath(path)); !errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("refused reopen created a journal: %v", err)
+			if _, err := OpenDurable(path, StoreConfig{}); err == nil {
+				t.Fatal("reopen replayed a malformed journal record")
 			}
 		})
+	}
+}
+
+// TestPendingLinesBounded: with no drain on the ack path, memdev's
+// pending set holds one entry per distinct line flushed since the last
+// power failure. Overwriting a fixed keyspace round after round on a
+// journaled store touches the same lines each round, so the set stops
+// growing after the first overwrite round.
+func TestPendingLinesBounded(t *testing.T) {
+	st, err := OpenDurable(filepath.Join(t.TempDir(), "kv.img"), StoreConfig{Shards: 1, Heap: 1 << 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1})
+	defer exec.Drain()
+	dev := st.Bus().Device()
+	var first int
+	for round := 0; round <= 5; round++ {
+		for k := 0; k < 256; k++ {
+			val := fmt.Appendf(nil, "%08d-%055d", round, k) // 64 bytes: overwritten in place
+			if r := submit(t, exec, &Request{Op: OpSet, Key: fmt.Appendf(nil, "k%d", k), Value: val}); r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		switch n := dev.PendingLines(); round {
+		case 0: // inserts
+		case 1:
+			first = n
+		default:
+			if n > first {
+				t.Fatalf("round %d: %d pending lines, %d after the first overwrite round", round, n, first)
+			}
+		}
 	}
 }
 

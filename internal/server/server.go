@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -237,7 +238,8 @@ type imageHeader struct {
 // SaveImage writes the NVM media image and the store geometry to
 // path. Call it only on a quiescent machine whose media image is
 // final — after Crash (power-failure semantics; recovery will run on
-// reopen) or after Quiesce on the bus (clean shutdown).
+// reopen) or after the bus drained every pending write (clean
+// shutdown).
 func (st *Store) SaveImage(path string) error {
 	dev := st.tm.Bus().Device()
 	nvm := dev.NVMWords()
@@ -324,12 +326,9 @@ func OpenImage(path string) (*Store, error) {
 	return openImage(path, "")
 }
 
-// openImage is OpenImage plus optional write-ahead-journal replay:
-// with a non-empty walPath, valid journal batches bound to the image's
-// generation are applied on top of the media bytes before recovery
-// runs — the restart path after a host process kill. That path is
-// refused, before the body is read, for a domain journalableDomain
-// rejects.
+// openImage is OpenImage plus, with a non-empty walPath, the
+// write-ahead journal (see load) — the restart path after a host
+// process kill.
 func openImage(path, walPath string) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -356,11 +355,6 @@ func openImage(path, walPath string) (*Store, error) {
 		MaxValueBytes: hdr.MaxValueBytes,
 		MaxBatch:      hdr.MaxBatch,
 	}.withDefaults()
-	if walPath != "" {
-		if err := journalableDomain(cfg.Domain); err != nil {
-			return nil, err
-		}
-	}
 	body := data[12+hlen:]
 	if uint64(len(body)) != hdr.NVMWords*8 {
 		return nil, fmt.Errorf("%w: body is %d bytes, want %d", ErrCorruptImage, len(body), hdr.NVMWords*8)
@@ -369,8 +363,7 @@ func openImage(path, walPath string) (*Store, error) {
 		return nil, fmt.Errorf("%w: body checksum %#x, header says %#x", ErrCorruptImage, sum, hdr.BodyFNV)
 	}
 
-	ccfg := cfg.coreConfig()
-	bus, err := core.NewBus(ccfg)
+	bus, err := core.NewBus(cfg.coreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -386,28 +379,40 @@ func openImage(path, walPath string) (*Store, error) {
 		}
 		dev.MediaWriteLine(ln, payload)
 	}
-	walBatches := 0
-	if walPath != "" {
-		walBatches, err = replayJournal(walPath, hdr.Generation, func(ln uint64, payload [memdev.WordsPerLine]uint64) {
-			dev.MediaWriteLine(ln, payload)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
+	return load(bus, cfg, hdr.Generation, walPath)
+}
 
-	tm, rep, err := core.Reopen(bus, ccfg)
+// load is the one path every reopened store comes up by, whether its
+// media image was read from a file or left on the device by the crash
+// that saved it: core.Reopen recovery over bus, whose media holds the
+// image of generation gen; the KV root re-attached; and, with a
+// non-empty walPath, the journal bound to gen replayed on top and kept
+// open for appending after its valid prefix.
+func load(bus *membus.Bus, cfg StoreConfig, gen uint64, walPath string) (*Store, error) {
+	tm, rep, err := core.Reopen(bus, cfg.coreConfig())
 	if err != nil {
 		return nil, fmt.Errorf("server: recovery failed: %w", err)
 	}
-	st := &Store{cfg: cfg, tm: tm, gen: hdr.Generation, Recovered: true, Recovery: rep, WALBatches: walBatches}
+	st := &Store{cfg: cfg, tm: tm, gen: gen, Recovered: true, Recovery: rep}
 	th := tm.Thread(0)
+	defer th.Detach()
 	root := tm.Root(th, kvRootSlot)
-	th.Detach()
 	if root == 0 {
 		return nil, fmt.Errorf("server: image has no KV root")
 	}
 	st.kv = kvstore.OpenKV(root)
+	if walPath == "" {
+		return st, nil
+	}
+	wal, batches, err := openJournal(walPath, st.gen)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.replay(th, batches); err != nil {
+		wal.close()
+		return nil, fmt.Errorf("%w (replaying %s)", err, walPath)
+	}
+	st.wal, st.walPath, st.WALBatches = wal, walPath, len(batches)
 	return st, nil
 }
 
@@ -449,15 +454,17 @@ func imageExists(path string) (bool, error) {
 func WALPath(path string) string { return path + ".wal" }
 
 // OpenDurable opens the store whose acknowledged writes survive a kill
-// of the *host process*, not just a simulated power failure: the image
-// (plus any journal bound to its generation) is loaded if present,
-// else a fresh store is formatted and a base image saved immediately
-// — a journal needs a base to extend. The media write-ahead journal is
-// then opened, and an executor on a journaled store runs the
-// durable-ack barrier before every write it acknowledges.
+// of the *host process*, not just a simulated power failure, in every
+// durability domain: the image is loaded, recovered, and the journal
+// bound to its generation replayed and opened for appending; an
+// executor on a journaled store then journals every write before it
+// acknowledges it.
 //
-// Domains whose persistence point sits above the WPQ are refused; see
-// journalableDomain.
+// A journal needs a base image to extend, so a missing image is made
+// the way a restart would find it: a fresh store is formatted, power-
+// failed and saved, and the saved media is loaded by the same path as
+// a restart's (load) — straight from the device that wrote the file,
+// which holds exactly its bytes.
 func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 	if path == "" {
 		return nil, fmt.Errorf("server: a durable store needs an image path")
@@ -466,46 +473,27 @@ func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st *Store
 	if exists {
-		st, err = openImage(path, WALPath(path))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if err := journalableDomain(cfg.withDefaults().Domain); err != nil {
-			return nil, err
-		}
-		st, err = Open(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Quiesce materializes the formatting transaction's pending WPQ
-		// entries so the base image is complete (equivalent to the media
-		// state an ADR crash would leave, without killing the machine).
-		st.Bus().Quiesce()
-		if err := st.SaveImage(path); err != nil {
-			return nil, err
-		}
+		return openImage(path, WALPath(path))
 	}
-	st.walPath = WALPath(path)
-	if st.wal, err = openJournal(st.walPath, st.gen); err != nil {
+	fresh, err := Open(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-// journalableDomain refuses a durable store under a domain whose
-// persistence point sits above the WPQ (eADR, PDRAM, PDRAM-Lite). The
-// barrier journals only the lines it drains from the WPQ, and there
-// committed lines — the formatted TM header first — stay in the cache
-// or the DRAM page cache, so a process kill would lose what was acked.
-// Refusing before anything is written beats acking and losing.
-func journalableDomain(d durability.Domain) error {
-	if d.CachePersists() {
-		return fmt.Errorf("server: durable serving needs ADR; %v persists committed lines above the WPQ, where the media journal never sees them (serve %v with -durable=false)", d, d)
+	// The failure comes after every drain the format issued, so the
+	// domain's policy — whatever the domain — leaves the formatted table
+	// on media. Only the bus fails: the formatting TM is discarded, so
+	// its volatile orec table is not worth resetting.
+	fresh.Bus().Crash(math.MaxInt64)
+	if err := fresh.SaveImage(path); err != nil {
+		return nil, err
 	}
-	return nil
+	st, err := load(fresh.Bus(), fresh.cfg, fresh.gen, WALPath(path))
+	if err != nil {
+		return nil, err
+	}
+	st.Recovered = false
+	return st, nil
 }
 
 // FinishJournal closes and removes the journal. Call only after a
@@ -521,34 +509,26 @@ func (st *Store) FinishJournal() {
 	st.wal = nil
 }
 
-// The durable-ack barrier has two halves, run in this order by the
-// executor of a journaled store before any write of a batch is
-// acknowledged: DrainMedia forces every pending WPQ entry onto
-// simulated media and into the journal, FlushJournal pushes the
-// resulting journal batch to the host file. An acked write is then
-// reconstructible from image + journal even if the process is killed
-// the next instant.
-
-// DrainMedia is the barrier's first half: force every pending WPQ
-// entry onto simulated media, record each drained line in the journal
-// (if any), and advance the calling shard's clock to the last drain
-// completion (the honest virtual-time cost of waiting).
+// DrainMedia forces every pending WPQ entry onto simulated media and
+// advances th's clock to the last drain completion. No server path
+// calls it: the bench/layers replay probe times it, and it retires with
+// that probe's replay.drain_share and store.drain_media_host_us when
+// the benchmark is next revised (ROADMAP item 2).
 func (st *Store) DrainMedia(th *core.Thread) {
-	var visit func(uint64, [memdev.WordsPerLine]uint64)
-	if st.wal != nil {
-		visit = st.wal.record
-	}
-	n, maxVT := st.tm.Bus().Device().DrainEach(visit)
-	if n > 0 {
+	if n, maxVT := st.tm.Bus().Device().DrainAll(); n > 0 {
 		if now := th.Now(); maxVT > now {
 			th.Compute(maxVT - now)
 		}
 	}
 }
 
-// FlushJournal is the barrier's second half: push the journal batch to
-// the host file. The flush's host-time cost lands in the journal-flush
-// histogram the telemetry endpoint exposes.
+// FlushJournal is the durable-ack barrier's last step: the executor of
+// a journaled store appends a batch's committed writes to the journal,
+// then pushes the journal batch to the host file before any member is
+// acknowledged. An acked write is then reconstructible from image +
+// journal even if the process is killed the next instant. The flush's
+// host-time cost lands in the journal-flush histogram the telemetry
+// endpoint exposes.
 func (st *Store) FlushJournal() error {
 	if st.wal == nil {
 		return nil
