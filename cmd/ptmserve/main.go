@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
@@ -75,7 +74,7 @@ func main() {
 	shards := flag.Int("shards", 4, "executor shards (keyspace partitions)")
 	maxBatch := flag.Int("maxbatch", 8, "max ops coalesced into one transaction; 1 disables batching")
 	windowNS := flag.Int64("window", 2000, "group-commit batch window, virtual ns; -1 disables")
-	deadlineNS := flag.Int64("deadline", 1_000_000, "shed requests older than this, virtual ns; -1 disables")
+	deadlineNS := flag.Int64("deadline", 1_000_000, "shed requests older than this, in virtual ns counted from the later of enqueue and the shard's last wake; -1 disables")
 	queueDepth := flag.Int("queue", 256, "per-shard request queue depth")
 	heapWords := flag.Uint64("heap", 0, "persistent heap words (0 = default 1<<21); smaller heaps make smaller images")
 	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and flush the journal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged, in every -domain")
@@ -187,7 +186,6 @@ func main() {
 	exec := server.NewExecutor(st, server.ExecConfig{
 		Shards: *shards, QueueDepth: *queueDepth, MaxBatch: *maxBatch,
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
-		IdleSleep: 50 * time.Microsecond,
 		WallClock: true,
 		Flight:    fr,
 	})

@@ -183,6 +183,14 @@ func (th *Thread) Latency() *stats.Histogram { return &th.latency }
 // Detach releases the thread from the virtual-time barrier.
 func (th *Thread) Detach() { th.ctx.Detach() }
 
+// Park takes the thread out of the virtual-time barrier while it has
+// nothing to simulate; Resume rejoins it at the machine's present.
+// Concurrent engines only.
+func (th *Thread) Park() { th.ctx.Park() }
+
+// Resume undoes Park.
+func (th *Thread) Resume() { th.ctx.Resume() }
+
 // Compute advances the thread's clock by ns of non-transactional work.
 func (th *Thread) Compute(ns int64) { th.ctx.Compute(ns) }
 

@@ -60,6 +60,13 @@ func (c *Context) Stats() Stats { return c.stats }
 // called when the owning goroutine finishes.
 func (c *Context) Detach() { c.th.Detach() }
 
+// Park takes the context out of the virtual-time barrier until Resume,
+// which rejoins it at the machine's present (simtime.Thread.Park).
+func (c *Context) Park() { c.th.Park() }
+
+// Resume undoes Park.
+func (c *Context) Resume() { c.th.Resume() }
+
 // Compute advances the thread's clock by ns of non-memory work.
 func (c *Context) Compute(ns int64) { c.th.Advance(ns) }
 

@@ -237,7 +237,7 @@ func TestCompletionRecordWallClock(t *testing.T) {
 	}
 	ring := NewFlightRecorder(64)
 	start := time.Now()
-	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, IdleSleep: 20 * time.Microsecond, WallClock: true, Flight: ring})
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1, WallClock: true, Flight: ring})
 	const n = 16
 	for i := 0; i < n; i++ {
 		op := OpSet

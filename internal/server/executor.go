@@ -118,16 +118,21 @@ type ExecConfig struct {
 	BatchWindowNS int64
 	// DeadlineNS sheds requests older than this at pop time — before
 	// they consume a batch slot; 0 selects 1_000_000 (1 ms). Negative
-	// disables shedding.
+	// disables shedding. Age is in virtual ns, counted from the later of
+	// enqueue and the shard's last wake.
 	DeadlineNS int64
-	// IdleSleep, when positive, adds a host-time sleep to idle polls so
-	// the TCP server doesn't spin a core per shard. Must stay 0 under
+	// IdleSleep, when positive, adds a host-time sleep to the idle polls
+	// of a virtual-clock executor. It is ignored under WallClock, whose
+	// idle shards park instead; it stays for virtual-clock executors and
+	// because bench/layers/serving.go still sets it. Must stay 0 under
 	// lockstep: a sleeping thread holds the scheduler floor.
 	IdleSleep time.Duration
-	// WallClock runs the lifecycle clock — the flight records' chains —
-	// on host ns since executor start instead of the shards' virtual
-	// clocks: the TCP server sets it (its requests live on wall time);
-	// loadsim leaves it off.
+	// WallClock runs the lifecycle clock — the flight records' chains
+	// and the latency histogram — on host ns since executor start
+	// instead of the shards' virtual clocks, and parks idle shards
+	// outside the engine's barrier until Submit wakes them: the TCP
+	// server sets it (its requests live on wall time); loadsim leaves
+	// it off. It needs a concurrent engine.
 	WallClock bool
 	// Flight, when non-nil, receives a FlightRecord for every request
 	// completion (executed, shed, or swept at drain).
@@ -171,6 +176,15 @@ type shard struct {
 	head  int
 
 	lastVT atomic.Int64 // the shard thread's clock, for Submit stamping
+	// wake is signalled by every Submit to the shard and by shutdown; a
+	// parked (WallClock) worker blocks on it. One slot: a token left by
+	// a Submit the worker already served costs one empty loop, and no
+	// signal is ever lost.
+	wake chan struct{}
+	// resumedVT is the worker's clock at its last wake: a request that
+	// arrived while the shard was parked ages from here, not from the
+	// stale clock Submit stamped. Worker-owned.
+	resumedVT int64
 
 	// Per-shard scratch, so the completion path never allocates: the
 	// record being built or fanned out, and the requests a pop shed.
@@ -181,7 +195,7 @@ type shard struct {
 	// batch, so Snapshot can merge live stats from host goroutines
 	// without racing the shard thread.
 	statsMu    sync.Mutex
-	latency    stats.Histogram // enqueue→completion, virtual ns
+	latency    stats.Histogram // enqueue→ack on the lifecycle clock (host ns under WallClock)
 	batchSizes stats.Histogram
 	ackLat     stats.Histogram // durable-ack barrier (journal append+flush), host ns
 	shed       atomic.Int64    // per-shard deadline sheds (Snapshot reads it live)
@@ -256,7 +270,7 @@ func NewExecutor(st *Store, cfg ExecConfig) *Executor {
 	}
 	e.wg.Add(cfg.Shards)
 	for i := range e.shards {
-		s := &shard{id: i}
+		s := &shard{id: i, wake: make(chan struct{}, 1)}
 		e.shards[i] = s
 		// Attach here, in shard order, not in the worker goroutines:
 		// under lockstep the engine's turn order follows attachment
@@ -296,9 +310,19 @@ func (e *Executor) Submit(req *Request) bool {
 	}
 	s.queue = append(s.queue, req)
 	s.mu.Unlock()
+	s.signal()
 	e.queued.Add(1)
 	e.met.Add(metrics.CtrSrvRequests, 1)
 	return true
+}
+
+// signal wakes shard s's worker if it is parked, or leaves it a token
+// for its next park.
+func (s *shard) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // clock maps virtual time vt onto the lifecycle clock the boundary
@@ -312,19 +336,21 @@ func (e *Executor) clock(vt int64) int64 {
 }
 
 // popLive removes queued requests from shard s until it has gathered
-// up to max live ones, shedding any that aged past deadline *at pop
+// up to limit live ones, shedding any that aged past deadline *at pop
 // time* — an expired request completes as shed right here (one
-// batchShed record per pop) and never consumes a batch slot. It
-// appends the live requests to *out.
-func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Request) {
+// batchShed record per pop) and never consumes a batch slot. A request
+// ages from the later of its enqueue stamp and the shard's last wake,
+// so time the shard spent parked does not count against it. It appends
+// the live requests to *out.
+func (s *shard) popLive(e *Executor, limit int, now, deadline int64, out *[]*Request) {
 	shed, live := s.shedBuf[:0], 0
 	s.mu.Lock()
 	t := e.clock(now) // under the lock: after any enqueue stamp it pops
-	for s.head < len(s.queue) && live < max {
+	for s.head < len(s.queue) && live < limit {
 		req := s.queue[s.head]
 		s.head++
 		req.pop = t
-		if deadline > 0 && now-req.EnqVT > deadline {
+		if deadline > 0 && now-max(req.EnqVT, s.resumedVT) > deadline {
 			req.Shed = true
 			shed = append(shed, req)
 			continue
@@ -350,8 +376,14 @@ func (s *shard) popLive(e *Executor, max int, now, deadline int64, out *[]*Reque
 
 // runShard is one shard worker: poll, assemble a batch (shedding the
 // overdue at pop time), and execute the live requests in one
-// transaction. It must keep moving virtual time (Compute) whenever idle
-// so the other threads of the windowed engine never wait on it.
+// transaction. An idle worker must never hold the other threads at a
+// window boundary. Under WallClock it parks — leaves the barrier until
+// Submit or shutdown wakes it, then rejoins at the machine's present —
+// so virtual time moves only with simulated work and an idle server
+// burns no CPU. A virtual-clock executor instead polls, advancing its
+// clock by pollNS: loadsim runs on the lockstep engine, where no thread
+// can skip its turn. The worker always resumes before it returns, so
+// Detach never sees a parked thread.
 func (e *Executor) runShard(s *shard, th *core.Thread) {
 	defer e.wg.Done()
 	defer th.Detach()
@@ -390,9 +422,16 @@ func (e *Executor) runShard(s *shard, th *core.Thread) {
 				}
 			}
 		case !e.inputsDone.Load():
-			th.Compute(pollNS)
-			if e.cfg.IdleSleep > 0 {
-				time.Sleep(e.cfg.IdleSleep)
+			if e.cfg.WallClock {
+				th.Park()
+				<-s.wake
+				th.Resume()
+				s.resumedVT = th.Now()
+			} else {
+				th.Compute(pollNS)
+				if e.cfg.IdleSleep > 0 {
+					time.Sleep(e.cfg.IdleSleep)
+				}
 			}
 			continue
 		default:
@@ -492,7 +531,7 @@ func (e *Executor) account(s *shard, d *completion) {
 		s.statsMu.Lock()
 		for _, req := range d.members {
 			if !req.Warmup {
-				s.latency.Record(d.end - req.EnqVT)
+				s.latency.Record(d.acked - req.enq)
 			}
 		}
 		s.batchSizes.Record(n)
@@ -517,9 +556,15 @@ func (e *Executor) LastVT() (vt int64) {
 }
 
 // InputsDone tells the workers no further Submit will arrive; each
-// exits once its queue is empty. Used by loadsim, where the run ends
-// when the generated arrivals are all served.
-func (e *Executor) InputsDone() { e.inputsDone.Store(true) }
+// exits once its queue is empty, and a parked one is woken to notice.
+// Used by loadsim, where the run ends when the generated arrivals are
+// all served.
+func (e *Executor) InputsDone() {
+	e.inputsDone.Store(true)
+	for _, s := range e.shards {
+		s.signal()
+	}
+}
 
 // Drain stops admission, waits for the workers to finish what is
 // queued, and completes any leftover requests with ErrDraining. After
@@ -527,7 +572,7 @@ func (e *Executor) InputsDone() { e.inputsDone.Store(true) }
 // crashed and saved.
 func (e *Executor) Drain() {
 	e.draining.Store(true)
-	e.inputsDone.Store(true)
+	e.InputsDone()
 	e.wg.Wait()
 	// The workers exit when they see an empty queue, but a Submit
 	// racing with shutdown can land an entry after that look; sweep it,

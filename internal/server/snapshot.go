@@ -25,7 +25,7 @@ type Snapshot struct {
 	QueueDepth int64            `json:"queue_depth"`
 	Shards     []ShardSnapshot  `json:"shards"`
 
-	Latency      *stats.Histogram `json:"latency_ns"`  // merged enqueue→completion, virtual ns
+	Latency      *stats.Histogram `json:"latency_ns"`  // merged enqueue→ack on the lifecycle clock: host ns on TCP, virtual ns in loadsim
 	BatchSizes   *stats.Histogram `json:"batch_sizes"` // one sample per executed batch
 	AckBarrier   *stats.Histogram `json:"ack_barrier_ns"`
 	JournalFlush *stats.Histogram `json:"journal_flush_ns"`

@@ -204,6 +204,38 @@ func (e *Engine) detach(t *Thread) {
 	e.mu.Unlock()
 }
 
+// Park takes the thread out of the barrier set until Resume: the
+// remaining threads cross window boundaries without waiting for it,
+// and if they are all already waiting the window advances now. A
+// parked thread must make no engine call but Resume. Concurrent mode
+// only — a lockstep schedule has no way to skip a thread's turn.
+func (t *Thread) Park() {
+	e := t.engine
+	if e.lockstep {
+		panic("simtime: Park on a lockstep engine")
+	}
+	e.mu.Lock()
+	e.active--
+	if e.active > 0 && e.waiting >= e.active {
+		e.advanceWindowLocked()
+	}
+	e.mu.Unlock()
+}
+
+// Resume puts a parked thread back into the barrier set at the
+// machine's present: its clock moves up to the start of the current
+// window if it lags it, the same rule NewThread applies, so the
+// thread neither replays the past nor holds the others back.
+func (t *Thread) Resume() {
+	e := t.engine
+	e.mu.Lock()
+	e.active++
+	w := e.window.Load()
+	t.clock = max(t.clock, w-e.winSize)
+	t.winEnd = w
+	e.mu.Unlock()
+}
+
 // removeParkedLocked drops t from whichever parked set holds it.
 // Caller holds e.mu.
 func (e *Engine) removeParkedLocked(t *Thread) {

@@ -3,6 +3,7 @@ package simtime
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestThreadAdvance(t *testing.T) {
@@ -158,4 +159,92 @@ func TestNewThreadJoinsCurrentWindow(t *testing.T) {
 	}
 	a.Detach()
 	b.Detach()
+}
+
+// TestParkedThreadHoldsNoWindow: with three threads attached and one
+// parked, the other two cross 1,000 windows without it — which only
+// Detach could allow before — and it rejoins at their present.
+func TestParkedThreadHoldsNoWindow(t *testing.T) {
+	e := NewEngine(DefaultWindow)
+	a, b, c := e.NewThread(0), e.NewThread(1), e.NewThread(2)
+	c.Park()
+	const end = 1000 * DefaultWindow
+	var wg sync.WaitGroup
+	for _, th := range []*Thread{a, b} {
+		wg.Add(1)
+		go func(th *Thread) {
+			defer wg.Done()
+			for th.Now() < end {
+				th.Advance(DefaultWindow / 4)
+			}
+		}(th)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("busy threads stalled on a parked one")
+	}
+	c.Resume()
+	if c.Now() < end-DefaultWindow {
+		t.Fatalf("resumed at %d, behind the others' present %d", c.Now(), end)
+	}
+	a.Detach()
+	b.Detach()
+	c.Advance(5 * DefaultWindow) // alone now: crosses freely
+	c.Detach()
+}
+
+// TestResumeJoinsPresent: Resume moves a lagging clock up to the start
+// of the current window and leaves one already inside it alone.
+func TestResumeJoinsPresent(t *testing.T) {
+	e := NewEngine(100)
+	a, b := e.NewThread(0), e.NewThread(1)
+	b.Advance(70)
+	b.Park()
+	a.Advance(50_050)
+	b.Resume()
+	if want := e.window.Load() - 100; b.Now() != want || want < 50_000 {
+		t.Fatalf("lagging thread resumed at %d, want window start %d", b.Now(), want)
+	}
+	a.Detach()
+	b.Advance(30)
+	at := b.Now()
+	b.Park()
+	b.Resume() // nobody moved the window: the clock stays put
+	if b.Now() != at {
+		t.Fatalf("resumed at %d, want its own clock %d", b.Now(), at)
+	}
+	b.Detach()
+}
+
+// TestParkReleasesWaiters: when the last thread the others wait for
+// parks, the window advances at once, as it does on Detach.
+func TestParkReleasesWaiters(t *testing.T) {
+	e := NewEngine(100)
+	a, b := e.NewThread(0), e.NewThread(1)
+	done := make(chan struct{})
+	go func() {
+		b.Advance(1000) // blocks at the boundary until a parks
+		close(done)
+	}()
+	a.Advance(10)
+	a.Park()
+	<-done
+	a.Resume()
+	a.Detach()
+	b.Detach()
+}
+
+func TestParkLockstepPanics(t *testing.T) {
+	e := NewLockstepEngine(0)
+	th := e.NewThread(0)
+	defer th.Detach()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Park on a lockstep engine did not panic")
+		}
+	}()
+	th.Park()
 }
