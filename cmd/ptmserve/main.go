@@ -14,16 +14,15 @@
 //	    durability domain's policy resolves caches and the WPQ into
 //	    the final image), saves -image, and exits — so a kill/restart
 //	    cycle exercises the same recovery path a power loss would.
-//	    With -durable (the default), acked writes are additionally
-//	    journaled to <image>.wal before each acknowledgment, so even
-//	    SIGKILL — which never reaches the image-save path — loses
-//	    nothing the server confirmed, in every -domain: the journal
-//	    records the acked commands, and a restart re-executes them on
-//	    top of the recovered image. The journal is written, never
-//	    fsynced: it guards against process death, which keeps the page
-//	    cache; power loss is the simulated machine's failure domain.
-//	    -durable=false drops the guarantee (the soak harness's
-//	    self-test runs it on purpose).
+//	    Acked writes are additionally journaled to <image>.wal before
+//	    each acknowledgment, so even SIGKILL — which never reaches the
+//	    image-save path — loses nothing the server confirmed, in every
+//	    -domain: the journal records the acked commands, and a restart
+//	    re-executes them on top of the recovered image. The journal is
+//	    written, never fsynced: it guards against process death, which
+//	    keeps the page cache; power loss is the simulated machine's
+//	    failure domain. Without -image the store lives in memory only
+//	    and nothing survives the process.
 //
 // Load-simulator mode:
 //
@@ -68,7 +67,7 @@ import (
 // zero-value default).
 func main() {
 	listen := flag.String("listen", ":11211", "TCP listen address (server mode)")
-	image := flag.String("image", "", "NVM media image file: reopened on start if present, saved on shutdown")
+	image := flag.String("image", "", "NVM media image file: reopened on start if present, saved on shutdown; acked writes are journaled to <image>.wal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged, in every -domain")
 	algoName := flag.String("algo", "redo", "PTM algorithm: redo, undo, or htm")
 	domainName := flag.String("domain", "ADR", "durability domain (ADR, eADR, PDRAM, PDRAM-Lite)")
 	shards := flag.Int("shards", 4, "executor shards (keyspace partitions)")
@@ -77,7 +76,6 @@ func main() {
 	deadlineNS := flag.Int64("deadline", 1_000_000, "shed requests older than this, in virtual ns counted from the later of enqueue and the shard's last wake; -1 disables")
 	queueDepth := flag.Int("queue", 256, "per-shard request queue depth")
 	heapWords := flag.Uint64("heap", 0, "persistent heap words (0 = default 1<<21); smaller heaps make smaller images")
-	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and flush the journal (written, not fsynced) before every ack, so a process kill loses nothing acknowledged, in every -domain")
 
 	loadsimMode := flag.Bool("loadsim", false, "run the deterministic open-loop load simulator instead of serving TCP")
 	rate := flag.Float64("rate", 2e6, "loadsim: arrivals per virtual second")
@@ -142,12 +140,11 @@ func main() {
 	scfg := server.StoreConfig{
 		Algo: algo, Domain: domain, Shards: *shards, MaxBatch: *maxBatch, Heap: *heapWords,
 	}
-	journaled := *durable && *image != ""
 	var st *server.Store
-	if journaled {
+	if *image != "" {
 		st, err = server.OpenDurable(*image, scfg)
 	} else {
-		st, err = server.OpenOrRecover(*image, scfg)
+		st, err = server.Open(scfg)
 	}
 	if err != nil {
 		fail(err)
@@ -156,9 +153,7 @@ func main() {
 		rep := st.Recovery
 		fmt.Printf("ptmserve: recovered image %s: %d redo replayed, %d undo rolled back, %d blocks swept (%d virtual ns)\n",
 			*image, rep.RedoReplayed, rep.UndoRolledBack, rep.BlocksSwept, rep.DurationNS)
-		if journaled {
-			fmt.Printf("ptmserve: replayed %d journal batches from %s\n", st.WALBatches, server.WALPath(*image))
-		}
+		fmt.Printf("ptmserve: replayed %d journal batches from %s\n", st.WALBatches, server.WALPath(*image))
 	}
 
 	// The flight ring is the one per-request record: with -image it is
@@ -236,11 +231,9 @@ func main() {
 		if err := st.SaveImage(*image); err != nil {
 			fail(err)
 		}
-		if journaled {
-			// Only after the image is durably renamed: the save bumped
-			// the generation, so the journal it replaced is now stale.
-			st.FinishJournal()
-		}
+		// Only after the image is durably renamed: the save bumped the
+		// generation, so the journal it replaced is now stale.
+		st.FinishJournal()
 		fmt.Printf("ptmserve: image saved to %s\n", *image)
 	}
 }

@@ -21,8 +21,9 @@
 //	ptmsoak -replay soak-repro.json -bin ./ptmserve
 //
 // The self-test that proves the gate can fail: -unsafe-nodurable
-// weakens the target (ptmserve -durable=false in process mode) so
-// kills lose acked writes — the run must then exit 1.
+// weakens the target from the harness side — after every injected
+// kill the journal is thrown away and no image is saved — so kills
+// lose acked writes, and the run must then exit 1.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 	domain := flag.String("domain", "ADR", "durability domain")
 	shards := flag.Int("shards", 4, "executor shards")
 	heap := flag.Uint64("heap", 1<<18, "persistent heap words (small default keeps cycles fast)")
-	unsafe := flag.Bool("unsafe-nodurable", false, "self-test: weaken the target so kills lose acked writes; the run must fail")
+	unsafe := flag.Bool("unsafe-nodurable", false, "self-test: after every injected kill, discard the journal (<image>.wal) and save no image, so kills lose acked writes; the run must fail")
 	flightTail := flag.Int("flight-tail", 32, "flight-recorder records harvested into the verdict after each kill (process mode)")
 	repro := flag.String("repro", "", "on violation, write a replayable repro JSON here")
 	replay := flag.String("replay", "", "replay a repro JSON instead of reading the workload flags")

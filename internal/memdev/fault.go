@@ -226,9 +226,7 @@ func (d *Device) CrashWith(vt int64, dom durability.Domain, faults []LineFault) 
 	}
 	d.mu.Unlock()
 
-	for i := range d.dramVol {
-		atomic.StoreUint64(&d.dramVol[i], 0)
-	}
+	clear(d.dramVol)
 }
 
 // resolveLocked applies one LineFault given the line's in-flight

@@ -81,9 +81,14 @@ func AttributionFromBreakdown(b *obs.Breakdown) Attribution {
 }
 
 // Dominant reports the largest bus-side share (fence wait, WPQ stall,
-// media wait) — "what is commit latency waiting on" in one word.
+// media wait) — "what is commit latency waiting on" in one word. With
+// every share zero (eADR: no fence ever waits) it answers "compute":
+// the time went to the transaction itself, not to the bus.
 func (a Attribution) Dominant() (name string, share float64) {
-	name, share = "fence-wait", a.FenceWaitShare
+	name = "compute"
+	if a.FenceWaitShare > share {
+		name, share = "fence-wait", a.FenceWaitShare
+	}
 	if a.WPQStallShare > share {
 		name, share = "wpq-stall", a.WPQStallShare
 	}

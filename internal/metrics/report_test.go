@@ -181,6 +181,7 @@ func TestAttributionDominant(t *testing.T) {
 		{Attribution{FenceWaitShare: 0.5, WPQStallShare: 0.1}, "fence-wait"},
 		{Attribution{FenceWaitShare: 0.1, WPQStallShare: 0.5}, "wpq-stall"},
 		{Attribution{MediaWaitShare: 0.6, WPQStallShare: 0.5}, "media-wait"},
+		{Attribution{ValidateShare: 0.3, CommitShare: 0.2}, "compute"},
 	}
 	for _, tc := range cases {
 		if got, _ := tc.a.Dominant(); got != tc.want {

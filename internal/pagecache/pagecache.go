@@ -85,6 +85,7 @@ type Cache struct {
 	frames int
 	dir    map[uint64]*frame
 	lru    *list.List // front = most recent; values are *frame
+	dirty  int        // resident dirty frames, kept at every transition
 	ctl    *wpq.Controller
 	stats  Stats
 }
@@ -120,7 +121,7 @@ func (c *Cache) Access(now int64, tid int, page uint64, write bool) (done int64,
 	if f, ok := c.dir[page]; ok {
 		c.lru.MoveToFront(f.elem)
 		if write {
-			f.dirty = true
+			c.markDirtyLocked(f)
 		}
 		if f.prefetched {
 			f.prefetched = false
@@ -154,6 +155,7 @@ func (c *Cache) insertLocked(now int64, page uint64, write bool) int64 {
 		delete(c.dir, victim.page)
 		c.stats.Evictions++
 		if victim.dirty {
+			c.dirty--
 			c.stats.Writebacks++
 			// The fetch cannot begin until the victim's writeback has
 			// freed the frame.
@@ -161,10 +163,21 @@ func (c *Cache) insertLocked(now int64, page uint64, write bool) int64 {
 		}
 	}
 	done := c.ctl.ReadNVMBulk(start, LinesPerPage)
-	f := &frame{page: page, dirty: write, readyVT: done}
+	f := &frame{page: page, readyVT: done}
+	if write {
+		c.markDirtyLocked(f)
+	}
 	f.elem = c.lru.PushFront(f)
 	c.dir[page] = f
 	return done
+}
+
+// markDirtyLocked marks f dirty, counting it if it was clean.
+func (c *Cache) markDirtyLocked(f *frame) {
+	if !f.dirty {
+		f.dirty = true
+		c.dirty++
+	}
 }
 
 // prefetchLocked schedules a background fetch of page if it is absent
@@ -195,19 +208,14 @@ func (c *Cache) prefetchLocked(now int64, page uint64) {
 // asyncCleanLocked writes back the oldest dirty frame in the
 // background once more than half the frames are dirty.
 func (c *Cache) asyncCleanLocked(now int64) {
-	dirty := 0
-	for _, f := range c.dir {
-		if f.dirty {
-			dirty++
-		}
-	}
-	if dirty*2 <= c.frames {
+	if c.dirty*2 <= c.frames {
 		return
 	}
 	for e := c.lru.Back(); e != nil; e = e.Prev() {
 		f := e.Value.(*frame)
 		if f.dirty {
 			f.dirty = false
+			c.dirty--
 			c.ctl.WriteNVMBulk(now, LinesPerPage)
 			c.stats.AsyncCleans++
 			return
@@ -224,7 +232,7 @@ func (c *Cache) MarkDirty(page uint64) {
 		defer c.mu.Unlock()
 	}
 	if f, ok := c.dir[page]; ok {
-		f.dirty = true
+		c.markDirtyLocked(f)
 	}
 }
 
@@ -261,13 +269,7 @@ func (c *Cache) Resident() (resident, dirty int) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	resident = len(c.dir)
-	for _, f := range c.dir {
-		if f.dirty {
-			dirty++
-		}
-	}
-	return resident, dirty
+	return len(c.dir), c.dirty
 }
 
 // Stats returns cumulative counters.
@@ -287,4 +289,5 @@ func (c *Cache) Drop() {
 	}
 	c.dir = make(map[uint64]*frame, c.frames)
 	c.lru.Init()
+	c.dirty = 0
 }

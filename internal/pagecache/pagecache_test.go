@@ -1,6 +1,7 @@
 package pagecache
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -275,5 +276,34 @@ func TestAsyncWritebackReducesEvictionStalls(t *testing.T) {
 	without := thrash(Config{Frames: 4, NoPrefetch: true, NoAsyncWriteback: true})
 	if with >= without {
 		t.Fatalf("thrash with async writeback (%d ns) not faster than without (%d ns)", with, without)
+	}
+}
+
+// TestDirtyCountMatchesRecount: the dirty count Resident reports is
+// kept at every transition — write hits and fills, MarkDirty, eviction
+// writeback, async clean, Drop — so after any seeded sequence of
+// operations it equals DirtyPages' full recount of the directory, with
+// prefetch and async writeback both on.
+func TestDirtyCountMatchesRecount(t *testing.T) {
+	c := New(Config{Frames: 16}, ctl())
+	rng := rand.New(rand.NewPCG(1, 2))
+	now := int64(0)
+	for i := 0; i < 20000; i++ {
+		page := uint64(rng.IntN(48))
+		switch op := rng.IntN(100); {
+		case op < 85:
+			done, _ := c.Access(now, 0, page, rng.IntN(2) == 0)
+			now = max(now, done) + 10
+		case op < 99:
+			c.MarkDirty(page)
+		default:
+			c.Drop()
+		}
+		if _, dirty := c.Resident(); dirty != len(c.DirtyPages()) {
+			t.Fatalf("op %d: dirty count %d, recount %d", i, dirty, len(c.DirtyPages()))
+		}
+	}
+	if st := c.Stats(); st.AsyncCleans == 0 || st.Writebacks == 0 || st.Prefetches == 0 {
+		t.Fatalf("sequence missed a transition: %+v", st)
 	}
 }

@@ -99,10 +99,14 @@ func (req *Request) run(tx *core.Tx, kv kvstore.KV) {
 // down.
 var ErrDraining = errors.New("server: executor draining")
 
-// ErrDurable marks a write whose transaction committed in simulated
-// memory but whose durable-ack barrier (journal flush) failed: the
-// server cannot promise the write survives a process kill, so it
-// answers SERVER_ERROR instead of acking.
+// ErrDurable marks a request the executor refused to acknowledge
+// because a durable-ack barrier (journal flush) failed. The failing
+// batch has committed in simulated memory, but nothing promises its
+// writes survive a process kill, so none of its members — reads
+// included — is answered from that state; and from then on the
+// executor is fail-stopped: every request completes with ErrDurable
+// without running. A read can therefore never return a write that a
+// kill may yet lose.
 var ErrDurable = errors.New("server: durable acknowledgment failed")
 
 // ExecConfig parameterizes the executor.
@@ -207,7 +211,7 @@ type batchKind uint8
 const (
 	batchExecuted batchKind = iota // ran in one transaction
 	batchShed                      // expired at pop time, never executed (Request.Shed)
-	batchSwept                     // still queued at Drain, failed with ErrDraining
+	batchSwept                     // never executed: ErrDraining at Drain, ErrDurable after a failed barrier
 )
 
 // completion is the one record every finished group of requests
@@ -245,6 +249,9 @@ type Executor struct {
 	// survives a kill of the host process. Set iff the store has a
 	// journal: without one the barrier would protect nothing.
 	durable bool
+	// failed is set once a durable-ack barrier failed; the executor is
+	// fail-stopped from then on (see ErrDurable).
+	failed atomic.Bool
 
 	shards []*shard
 	queued atomic.Int64 // across all shards, for the queue-depth track
@@ -453,8 +460,16 @@ func (e *Executor) runShard(s *shard, th *core.Thread) {
 // execBatch is the paper's serving order and nothing else: run the
 // live requests in one transaction, pay the durable barrier once for
 // the whole batch, emit the completion record, complete the requests.
-// Deadline shedding already happened at pop time.
+// Deadline shedding already happened at pop time. Once a barrier has
+// failed, nothing runs: the batch completes with ErrDurable.
 func (e *Executor) execBatch(s *shard, th *core.Thread, live []*Request) {
+	if e.failed.Load() {
+		for _, req := range live {
+			req.Err = ErrDurable
+		}
+		e.complete(s, e.begin(s, batchSwept, live, th.Now()))
+		return
+	}
 	d := e.begin(s, batchExecuted, live, th.Now())
 	th.Atomic(func(tx *core.Tx) {
 		for _, req := range live {
@@ -479,10 +494,11 @@ func (e *Executor) execBatch(s *shard, th *core.Thread, live []*Request) {
 		d.barrierNS = time.Since(barrier).Nanoseconds()
 		d.flushed = e.clock(th.Now())
 		if err != nil {
+			// Fail-stop, set before any member completes: the batch's
+			// reads saw its unjournaled writes, so they fail too.
+			e.failed.Store(true)
 			for _, req := range live {
-				if req.Op != OpGet && req.Err == nil {
-					req.Err = ErrDurable
-				}
+				req.Err, req.Found = ErrDurable, false
 			}
 		}
 	}

@@ -120,9 +120,12 @@ func TestDurableAckSurvivesProcessKill(t *testing.T) {
 					if _, err := os.Stat(WALPath(path)); !os.IsNotExist(err) {
 						t.Fatalf("journal still present after FinishJournal: %v", err)
 					}
-					st, err := OpenImage(path)
+					st, err := OpenDurable(path, StoreConfig{})
 					if err != nil {
 						t.Fatal(err)
+					}
+					if st.WALBatches != 0 {
+						t.Fatalf("replayed %d journal batches after FinishJournal", st.WALBatches)
 					}
 					checkKeys(t, st, want)
 				})
@@ -207,6 +210,47 @@ func TestBarrierFollowsJournal(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFailedBarrierFailsStop: a batch whose journal flush fails has
+// already committed in simulated memory, yet a process kill would lose
+// it. The executor must refuse every member of that batch and, fail-
+// stopped, every request after it without running it — so no get can
+// return a write the journal never took, on the executor or the wire.
+func TestFailedBarrierFailsStop(t *testing.T) {
+	st, err := OpenDurable(filepath.Join(t.TempDir(), "kv.img"), StoreConfig{Shards: 1, Heap: 1 << 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := NewExecutor(st, ExecConfig{DeadlineNS: -1})
+	if r := submit(t, exec, &Request{Op: OpSet, Key: []byte("acked"), Value: []byte("v1")}); r.Err != nil {
+		t.Fatalf("set before the failure: %v", r.Err)
+	}
+	st.wal.f.Close() // every later journal write fails
+	if r := submit(t, exec, &Request{Op: OpSet, Key: []byte("lost"), Value: []byte("v2")}); !errors.Is(r.Err, ErrDurable) {
+		t.Fatalf("set behind a failed flush: err = %v, want ErrDurable", r.Err)
+	}
+	for _, key := range []string{"lost", "acked"} {
+		if r := submit(t, exec, &Request{Op: OpGet, Key: []byte(key)}); r.Found || !errors.Is(r.Err, ErrDurable) {
+			t.Fatalf("get %s after a failed flush: found %v (%q), err %v; want ErrDurable", key, r.Found, r.Val, r.Err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := Serve(st, exec, ln)
+	defer srv.Shutdown()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "get lost\r\nset k 0 0 1\r\nx\r\n")
+	r := bufio.NewReader(conn)
+	expectLine(t, r, "SERVER_ERROR persistence failure")
+	expectLine(t, r, "SERVER_ERROR persistence failure")
 }
 
 func TestTornJournalTailDroppedWhole(t *testing.T) {
@@ -316,29 +360,31 @@ func TestCorruptImageRejectedTyped(t *testing.T) {
 			if err := os.WriteFile(bad, tc.mut(good), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := OpenImage(bad)
-			if !errors.Is(err, ErrCorruptImage) {
-				t.Fatalf("OpenImage(%s) = %v, want ErrCorruptImage", tc.name, err)
+			if _, err := OpenDurable(bad, StoreConfig{}); !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("OpenDurable(%s) = %v, want ErrCorruptImage", tc.name, err)
 			}
-			// OpenOrRecover must refuse too — never silently reformat
-			// over a corrupt image.
-			if _, err := OpenOrRecover(bad, StoreConfig{}); !errors.Is(err, ErrCorruptImage) {
-				t.Fatalf("OpenOrRecover(%s) = %v, want ErrCorruptImage", tc.name, err)
+			// Refused, never silently reformatted: the file is as it
+			// was, and no journal was opened beside it.
+			if got, err := os.ReadFile(bad); err != nil || !bytes.Equal(got, tc.mut(good)) {
+				t.Fatalf("refused image %s was modified: %v", tc.name, err)
+			}
+			if _, err := os.Stat(WALPath(bad)); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("refused image %s got a journal: %v", tc.name, err)
 			}
 		})
 	}
 
 	// The untouched image still opens.
-	if _, err := OpenImage(path); err != nil {
+	if _, err := OpenDurable(path, StoreConfig{}); err != nil {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
 }
 
 // TestUnexaminablePathIsNotAFreshStart: only "no such file" may lead to
 // formatting. A path whose stat fails any other way (here ENOTDIR: a
-// regular file stands where a directory should) must be an error from
-// both openers, with nothing created — not a fresh, un-recovered store
-// served over an image that was never looked at.
+// regular file stands where a directory should) must be an error, with
+// nothing created — not a fresh, un-recovered store served over an
+// image that was never looked at.
 func TestUnexaminablePathIsNotAFreshStart(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "plain")
@@ -346,29 +392,18 @@ func TestUnexaminablePathIsNotAFreshStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := StoreConfig{Shards: 1, Heap: 1 << 18}
-	openers := []struct {
-		name string
-		open func(string, StoreConfig) (*Store, error)
-	}{
-		{"OpenOrRecover", OpenOrRecover},
-		{"OpenDurable", OpenDurable},
+	bad := filepath.Join(file, "kv.img")
+	if _, err := OpenDurable(bad, cfg); err == nil || errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenDurable(%s) error = %v; want a stat error", bad, err)
 	}
-	for _, o := range openers {
-		t.Run(o.name, func(t *testing.T) {
-			bad := filepath.Join(file, "kv.img")
-			if _, err := o.open(bad, cfg); err == nil || errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("%s(%s) error = %v; want a stat error", o.name, bad, err)
-			}
-			if got, err := os.ReadDir(dir); err != nil || len(got) != 1 {
-				t.Fatalf("failed open left files behind: %v, %v", got, err)
-			}
+	if got, err := os.ReadDir(dir); err != nil || len(got) != 1 {
+		t.Fatalf("failed open left files behind: %v, %v", got, err)
+	}
 
-			absent := filepath.Join(t.TempDir(), "kv.img")
-			st, err := o.open(absent, cfg)
-			if err != nil || st.Recovered {
-				t.Fatalf("%s on an absent path: %v; want a fresh store", o.name, err)
-			}
-		})
+	absent := filepath.Join(t.TempDir(), "kv.img")
+	st, err := OpenDurable(absent, cfg)
+	if err != nil || st.Recovered {
+		t.Fatalf("OpenDurable on an absent path: %v; want a fresh store", err)
 	}
 }
 

@@ -80,18 +80,12 @@ type StoreConfig struct {
 	// (loadsim sets it; the TCP server leaves it off so executor
 	// shards run concurrently on host cores).
 	Lockstep bool
-	// UnsafeDomain suppresses the NoReserve→ADR promotion below, so a
-	// store can run on a domain with no durable commit point. Only the
-	// soak harness's gate self-test sets it: the point is to prove the
-	// durable-linearizability oracle catches the resulting acked-write
-	// loss.
-	UnsafeDomain bool
 
 	Recorder *obs.Recorder
 }
 
 func (c StoreConfig) withDefaults() StoreConfig {
-	if c.Domain == durability.NoReserve && !c.UnsafeDomain {
+	if c.Domain == durability.NoReserve {
 		// A serving store needs a durable commit point; under NoReserve
 		// the WPQ — and any commit marker waiting in it — evaporates at
 		// power failure. The zero value therefore means ADR, the
@@ -167,8 +161,9 @@ type Store struct {
 	flushLat stats.Histogram
 }
 
-// Open formats a fresh store: a new machine, an empty KV table
-// published in the heap root.
+// Open formats a fresh store in memory, with no file behind it: a new
+// machine, an empty KV table published in the heap root. OpenDurable
+// is the store kept on a file.
 func Open(cfg StoreConfig) (*Store, error) {
 	cfg = cfg.withDefaults()
 	tm, err := core.New(cfg.coreConfig())
@@ -197,7 +192,7 @@ func (st *Store) Config() StoreConfig { return st.cfg }
 // Crash simulates a power failure at the machine's current virtual
 // time: the durability domain's policy resolves the WPQ and caches
 // into the final media image. All threads must be detached. The store
-// is unusable afterwards except for SaveImage; reopen via OpenImage.
+// is unusable afterwards except for SaveImage; reopen via OpenDurable.
 func (st *Store) Crash(vt int64) {
 	st.tm.Crash(vt)
 }
@@ -210,7 +205,7 @@ func (st *Store) Crash(vt int64) {
 var imageMagic = [8]byte{'P', 'T', 'M', 'K', 'V', 'I', 'M', '2'}
 
 // ErrCorruptImage tags image files that fail structural or checksum
-// validation — a torn save, a truncated copy, bit rot. OpenOrRecover
+// validation — a torn save, a truncated copy, bit rot. OpenDurable
 // refuses to load such a file (and refuses to silently reformat over
 // it); test with errors.Is.
 var ErrCorruptImage = errors.New("server: corrupt image")
@@ -318,18 +313,71 @@ func (st *Store) SaveImage(path string) error {
 	return nil
 }
 
-// OpenImage rebuilds a store from an image file: a fresh memory
-// system with the saved media bytes installed, then core.Reopen runs
-// crash recovery (redo replay / undo rollback / allocator GC) before
-// the KV root is re-attached.
-func OpenImage(path string) (*Store, error) {
-	return openImage(path, "")
+// imageExists reports whether an image file is present at path. Only a
+// definite "no such file" counts as absent: any other stat failure is
+// returned, so a path that could not be examined is never taken for a
+// fresh start and formatted over.
+func imageExists(path string) (bool, error) {
+	_, err := os.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, fmt.Errorf("server: %w", err)
+	}
+	return true, nil
 }
 
-// openImage is OpenImage plus, with a non-empty walPath, the
-// write-ahead journal (see load) — the restart path after a host
-// process kill.
-func openImage(path, walPath string) (*Store, error) {
+// WALPath names the write-ahead journal that extends the image at
+// path.
+func WALPath(path string) string { return path + ".wal" }
+
+// OpenDurable opens the store kept in the image file at path, whose
+// acknowledged writes survive a kill of the *host process*, not just a
+// simulated power failure, in every durability domain. An executor on
+// the returned store journals every write before it acknowledges it.
+//
+// An existing image is read and checked — a file that fails any check
+// is an error wrapping ErrCorruptImage, never formatted over — and its
+// saved media bytes are installed in a fresh memory system; load then
+// runs core.Reopen crash recovery (redo replay / undo rollback /
+// allocator GC) and replays the journal bound to the image's
+// generation. The image's geometry wins: cfg is used only to format.
+//
+// A missing image is made the way a restart would find it, since the
+// journal needs a base image to extend: a fresh store is formatted
+// with cfg, power-failed and saved, and the saved media is loaded by
+// the same path as a restart's (load) — straight from the device that
+// wrote the file, which holds exactly its bytes.
+func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
+	if path == "" {
+		return nil, fmt.Errorf("server: a durable store needs an image path")
+	}
+	exists, err := imageExists(path)
+	if err != nil {
+		return nil, err
+	}
+	if !exists {
+		fresh, err := Open(cfg)
+		if err != nil {
+			return nil, err
+		}
+		// The failure comes after every drain the format issued, so the
+		// domain's policy — whatever the domain — leaves the formatted
+		// table on media. Only the bus fails: the formatting TM is
+		// discarded, so its volatile orec table is not worth resetting.
+		fresh.Bus().Crash(math.MaxInt64)
+		if err := fresh.SaveImage(path); err != nil {
+			return nil, err
+		}
+		st, err := load(fresh.Bus(), fresh.cfg, fresh.gen, WALPath(path))
+		if err != nil {
+			return nil, err
+		}
+		st.Recovered = false
+		return st, nil
+	}
+
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -345,7 +393,7 @@ func openImage(path, walPath string) (*Store, error) {
 	if err := json.Unmarshal(data[12:12+hlen], &hdr); err != nil {
 		return nil, fmt.Errorf("%w: bad header in %s: %v", ErrCorruptImage, path, err)
 	}
-	cfg := StoreConfig{
+	cfg = StoreConfig{
 		Algo:          core.Algo(hdr.Algo),
 		Domain:        durability.Domain(hdr.Domain),
 		Shards:        hdr.Shards,
@@ -379,15 +427,15 @@ func openImage(path, walPath string) (*Store, error) {
 		}
 		dev.MediaWriteLine(ln, payload)
 	}
-	return load(bus, cfg, hdr.Generation, walPath)
+	return load(bus, cfg, hdr.Generation, WALPath(path))
 }
 
-// load is the one path every reopened store comes up by, whether its
+// load is the one path every durable store comes up by, whether its
 // media image was read from a file or left on the device by the crash
 // that saved it: core.Reopen recovery over bus, whose media holds the
-// image of generation gen; the KV root re-attached; and, with a
-// non-empty walPath, the journal bound to gen replayed on top and kept
-// open for appending after its valid prefix.
+// image of generation gen; the KV root re-attached; and the journal at
+// walPath bound to gen replayed on top and kept open for appending
+// after its valid prefix.
 func load(bus *membus.Bus, cfg StoreConfig, gen uint64, walPath string) (*Store, error) {
 	tm, rep, err := core.Reopen(bus, cfg.coreConfig())
 	if err != nil {
@@ -401,9 +449,6 @@ func load(bus *membus.Bus, cfg StoreConfig, gen uint64, walPath string) (*Store,
 		return nil, fmt.Errorf("server: image has no KV root")
 	}
 	st.kv = kvstore.OpenKV(root)
-	if walPath == "" {
-		return st, nil
-	}
 	wal, batches, err := openJournal(walPath, st.gen)
 	if err != nil {
 		return nil, err
@@ -413,86 +458,6 @@ func load(bus *membus.Bus, cfg StoreConfig, gen uint64, walPath string) (*Store,
 		return nil, fmt.Errorf("%w (replaying %s)", err, walPath)
 	}
 	st.wal, st.walPath, st.WALBatches = wal, walPath, len(batches)
-	return st, nil
-}
-
-// OpenOrRecover opens path if it exists, else formats a fresh store
-// with cfg — the single entry point ptmserve uses at startup. A file
-// that exists but fails validation is an error, never silently
-// reformatted (errors.Is(err, ErrCorruptImage) distinguishes it), and
-// so is a path that cannot be examined.
-func OpenOrRecover(path string, cfg StoreConfig) (*Store, error) {
-	if path != "" {
-		exists, err := imageExists(path)
-		if err != nil {
-			return nil, err
-		}
-		if exists {
-			return OpenImage(path)
-		}
-	}
-	return Open(cfg)
-}
-
-// imageExists reports whether an image file is present at path. Only a
-// definite "no such file" counts as absent: any other stat failure is
-// returned, so a path that could not be examined is never taken for a
-// fresh start and formatted over.
-func imageExists(path string) (bool, error) {
-	_, err := os.Stat(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("server: %w", err)
-	}
-	return true, nil
-}
-
-// WALPath names the write-ahead journal that extends the image at
-// path.
-func WALPath(path string) string { return path + ".wal" }
-
-// OpenDurable opens the store whose acknowledged writes survive a kill
-// of the *host process*, not just a simulated power failure, in every
-// durability domain: the image is loaded, recovered, and the journal
-// bound to its generation replayed and opened for appending; an
-// executor on a journaled store then journals every write before it
-// acknowledges it.
-//
-// A journal needs a base image to extend, so a missing image is made
-// the way a restart would find it: a fresh store is formatted, power-
-// failed and saved, and the saved media is loaded by the same path as
-// a restart's (load) — straight from the device that wrote the file,
-// which holds exactly its bytes.
-func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
-	if path == "" {
-		return nil, fmt.Errorf("server: a durable store needs an image path")
-	}
-	exists, err := imageExists(path)
-	if err != nil {
-		return nil, err
-	}
-	if exists {
-		return openImage(path, WALPath(path))
-	}
-	fresh, err := Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The failure comes after every drain the format issued, so the
-	// domain's policy — whatever the domain — leaves the formatted table
-	// on media. Only the bus fails: the formatting TM is discarded, so
-	// its volatile orec table is not worth resetting.
-	fresh.Bus().Crash(math.MaxInt64)
-	if err := fresh.SaveImage(path); err != nil {
-		return nil, err
-	}
-	st, err := load(fresh.Bus(), fresh.cfg, fresh.gen, WALPath(path))
-	if err != nil {
-		return nil, err
-	}
-	st.Recovered = false
 	return st, nil
 }
 

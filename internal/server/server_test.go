@@ -99,7 +99,7 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := OpenImage(path)
+	st2, err := OpenDurable(path, StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestExecutorClampsShardsToImage(t *testing.T) {
 	if err := st.SaveImage(path); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenOrRecover(path, StoreConfig{Shards: 4})
+	st2, err := OpenDurable(path, StoreConfig{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestRecoveryMidBatch(t *testing.T) {
 			if err := st.SaveImage(path); err != nil {
 				t.Fatal(err)
 			}
-			st2, err := OpenImage(path)
+			st2, err := OpenDurable(path, StoreConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func TestServerTCP(t *testing.T) {
 	if err := st.SaveImage(path); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenImage(path)
+	st2, err := OpenDurable(path, StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

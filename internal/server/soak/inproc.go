@@ -10,13 +10,13 @@ import (
 	"goptm/internal/server"
 )
 
-// inprocTarget soaks a Store inside this process. No sockets and no
-// real signals: the "kill" is an armed crash hook that detonates a
-// simulated power failure inside the next transaction commit, and
-// restart is Crash + SaveImage + reopen — the exact sequence the
-// crash-recovery unit tests use, but driven continuously under
-// concurrent load. Deterministic enough to run in CI's unit-test
-// budget, and the natural home for the NoReserve self-test.
+// inprocTarget soaks a durable Store inside this process. No sockets
+// and no real signals: the "kill" is an armed crash hook that
+// detonates a simulated power failure inside the next transaction
+// commit, and restart is Crash + SaveImage + FinishJournal + reopen —
+// the exact sequence the crash-recovery unit tests use, but driven
+// continuously under concurrent load. Deterministic enough to run in
+// CI's unit-test budget, and a cheap home for the gate's self-test.
 type inprocTarget struct {
 	cfg   Config
 	algo  core.Algo
@@ -41,28 +41,12 @@ func newInprocTarget(cfg Config) (*inprocTarget, error) {
 	if t.dom, err = durability.Parse(cfg.Domain); err != nil {
 		return nil, err
 	}
-	if cfg.NoDurable {
-		// The deliberately broken configuration: no durable commit
-		// point, so the WPQ — commit markers included — evaporates at
-		// every injected power failure and the oracle must catch the
-		// acked writes that vanish with it.
-		t.dom = durability.NoReserve
-	}
 	return t, nil
 }
 
-func (t *inprocTarget) start() (err error) {
-	// Recovery of a deliberately weakened store can fail arbitrarily
-	// (the heap image may be torn mid-structure); a panic here is a
-	// recovery refusal, not a harness bug.
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("recovery panicked: %v", r)
-		}
-	}()
-	st, err := server.OpenOrRecover(t.cfg.Image, server.StoreConfig{
-		Algo: t.algo, Domain: t.dom, Shards: t.cfg.Shards,
-		Heap: t.cfg.Heap, UnsafeDomain: t.cfg.NoDurable,
+func (t *inprocTarget) start() error {
+	st, err := server.OpenDurable(t.cfg.Image, server.StoreConfig{
+		Algo: t.algo, Domain: t.dom, Shards: t.cfg.Shards, Heap: t.cfg.Heap,
 	})
 	if err != nil {
 		return err
@@ -138,6 +122,9 @@ func (tr *inprocTransport) set(key string, val uint64) outcome {
 func (tr *inprocTransport) get(key string) (outcome, bool, uint64) {
 	req := &server.Request{Op: server.OpGet, Key: []byte(key)}
 	o := tr.t.submit(req, opTimeout)
+	if o.acked && req.Err != nil {
+		return outcome{}, false, 0 // refused (fail-stop): observed nothing
+	}
 	if !o.acked || !req.Found {
 		return o, false, 0
 	}
@@ -190,8 +177,8 @@ func (t *inprocTarget) kill(mode string, rng *prand) error {
 
 // awaitDead completes the cycle's power-failure semantics: drain the
 // executor (dead shards are already gone), cut the device at the
-// latest shard timestamp, and persist the post-failure image the next
-// start recovers from.
+// latest shard timestamp, persist the post-failure image the next
+// start recovers from, and retire the journal the save made stale.
 func (t *inprocTarget) awaitDead() error {
 	t.exec.Drain()
 	vt := t.exec.LastVT()
@@ -199,16 +186,20 @@ func (t *inprocTarget) awaitDead() error {
 	dirty := t.dirty
 	t.dirty = false
 	if t.cfg.NoDurable && dirty {
-		// The weakened target's injected fault: a kill bypasses image
-		// persistence entirely, exactly like SIGKILLing a ptmserve
-		// running with -durable=false. Every write acked since the
-		// last clean stop evaporates, and the restart resurrects the
-		// previous image (or a fresh store) — the self-test expects
-		// the oracle to flag every one of those lost acks.
+		// The weakened target's injected fault, as in process mode: a
+		// kill saves no image and takes the journal with it. Every
+		// write acked since the last clean stop evaporates, and the
+		// restart resurrects the previous image — the self-test
+		// expects the oracle to flag every one of those lost acks.
+		t.st.FinishJournal()
 		return nil
 	}
 	t.st.Crash(vt)
-	return t.st.SaveImage(t.cfg.Image)
+	if err := t.st.SaveImage(t.cfg.Image); err != nil {
+		return err
+	}
+	t.st.FinishJournal()
+	return nil
 }
 
 func (t *inprocTarget) shutdown() error { return t.awaitDead() }

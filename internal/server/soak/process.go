@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	"goptm/internal/server"
 	"goptm/internal/server/client"
 )
 
@@ -64,9 +65,6 @@ func (p *procTarget) start() error {
 		"-shards", strconv.Itoa(p.cfg.Shards),
 		"-heap", strconv.FormatUint(p.cfg.Heap, 10),
 		"-deadline", "-1", // soak wants every accepted op executed, not shed
-	}
-	if p.cfg.NoDurable {
-		args = append(args, "-durable=false")
 	}
 	cmd := exec.Command(p.cfg.Bin, args...)
 	cmd.Stderr = os.Stderr
@@ -253,6 +251,13 @@ func (p *procTarget) awaitDead() error {
 		p.killed = false
 		if h := harvestFlight(p.cfg.Image, p.cfg.FlightTail); h != nil {
 			p.harvest = h
+		}
+		if p.cfg.NoDurable {
+			// The weakened target: the fault takes the journal with it,
+			// so the restart finds only the last saved image, and every
+			// write acked since then is lost. A clean exit already
+			// removed its journal; this remove then finds nothing.
+			os.Remove(server.WALPath(p.cfg.Image))
 		}
 	}
 	p.mu.Unlock()

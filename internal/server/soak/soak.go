@@ -44,11 +44,12 @@ type Config struct {
 	// verdict after each kill (process mode); 0 selects 32.
 	FlightTail int
 
-	// NoDurable weakens the target on purpose — process mode starts
-	// ptmserve with -durable=false (no journal, no durable-ack
-	// barrier), inproc mode runs the store on the NoReserve domain —
-	// so the gate's self-test can prove the oracle actually catches
-	// acked-write loss.
+	// NoDurable weakens the target on purpose, from the harness side:
+	// after every injected kill the journal is thrown away and no image
+	// is saved — process mode removes <image>.wal before the restart,
+	// inproc mode finishes the journal without a save — so the restart
+	// finds only the last saved image. The gate's self-test sets it to
+	// prove the oracle actually catches acked-write loss.
 	NoDurable bool
 
 	Logf func(format string, args ...any) // progress log; nil: silent

@@ -163,10 +163,10 @@ func TestInprocSoakZeroViolations(t *testing.T) {
 	t.Logf("verdict: cycles=%d kills=%d ops=%d acked=%d unknown=%d", v.Cycles, v.Kills, v.Ops, v.Acked, v.Unknown)
 }
 
-// TestInprocSoakSelfTest proves the gate can fail: on the NoReserve
-// domain the WPQ (commit markers included) evaporates at every
-// injected power failure, so acked writes are lost and the oracle
-// must say so.
+// TestInprocSoakSelfTest proves the gate can fail: every injected
+// kill saves no image and throws the journal away, so the restart
+// resurrects the last saved image, the writes acked since then are
+// lost, and the oracle must say so.
 func TestInprocSoakSelfTest(t *testing.T) {
 	cfg := fastCfg(t)
 	cfg.NoDurable = true

@@ -253,6 +253,10 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 					fmt.Fprintf(w, "SERVER_ERROR busy\r\n")
 					return
 				}
+				if errors.Is(req.Err, ErrDurable) {
+					fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
+					return
+				}
 				if req.Found {
 					fmt.Fprintf(w, "VALUE %s %d %d\r\n", keys[i], req.ValFlags, len(req.Val))
 					w.Write(req.Val)
