@@ -386,25 +386,27 @@ func TestCorruptImageRejectedTyped(t *testing.T) {
 // nothing created — not a fresh, un-recovered store served over an
 // image that was never looked at.
 func TestUnexaminablePathIsNotAFreshStart(t *testing.T) {
-	dir := t.TempDir()
-	file := filepath.Join(dir, "plain")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg := StoreConfig{Shards: 1, Heap: 1 << 18}
-	bad := filepath.Join(file, "kv.img")
-	if _, err := OpenDurable(bad, cfg); err == nil || errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("OpenDurable(%s) error = %v; want a stat error", bad, err)
-	}
-	if got, err := os.ReadDir(dir); err != nil || len(got) != 1 {
-		t.Fatalf("failed open left files behind: %v, %v", got, err)
-	}
+	t.Run("OpenDurable", func(t *testing.T) {
+		dir := t.TempDir()
+		file := filepath.Join(dir, "plain")
+		if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := StoreConfig{Shards: 1, Heap: 1 << 18}
+		bad := filepath.Join(file, "kv.img")
+		if _, err := OpenDurable(bad, cfg); err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("OpenDurable(%s) error = %v; want a stat error", bad, err)
+		}
+		if got, err := os.ReadDir(dir); err != nil || len(got) != 1 {
+			t.Fatalf("failed open left files behind: %v, %v", got, err)
+		}
 
-	absent := filepath.Join(t.TempDir(), "kv.img")
-	st, err := OpenDurable(absent, cfg)
-	if err != nil || st.Recovered {
-		t.Fatalf("OpenDurable on an absent path: %v; want a fresh store", err)
-	}
+		absent := filepath.Join(t.TempDir(), "kv.img")
+		st, err := OpenDurable(absent, cfg)
+		if err != nil || st.Recovered {
+			t.Fatalf("OpenDurable on an absent path: %v; want a fresh store", err)
+		}
+	})
 }
 
 // TestOldJournalFormatRefused: a journal in the line-record format
