@@ -53,6 +53,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
@@ -141,6 +142,7 @@ func main() {
 		Algo: algo, Domain: domain, Shards: *shards, MaxBatch: *maxBatch, Heap: *heapWords,
 	}
 	var st *server.Store
+	openStart := time.Now()
 	if *image != "" {
 		st, err = server.OpenDurable(*image, scfg)
 	} else {
@@ -149,11 +151,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	openMS := time.Since(openStart).Milliseconds()
 	if st.Recovered {
 		rep := st.Recovery
-		fmt.Printf("ptmserve: recovered image %s: %d redo replayed, %d undo rolled back, %d blocks swept (%d virtual ns)\n",
-			*image, rep.RedoReplayed, rep.UndoRolledBack, rep.BlocksSwept, rep.DurationNS)
+		fmt.Printf("ptmserve: recovered image %s: %d redo replayed, %d undo rolled back, %d blocks swept (%d virtual ns) in %d ms\n",
+			*image, rep.RedoReplayed, rep.UndoRolledBack, rep.BlocksSwept, rep.DurationNS, openMS)
 		fmt.Printf("ptmserve: replayed %d journal batches from %s\n", st.WALBatches, server.WALPath(*image))
+	} else if *image != "" {
+		fmt.Printf("ptmserve: formatted image %s in %d ms\n", *image, openMS)
 	}
 
 	// The flight ring is the one per-request record: with -image it is

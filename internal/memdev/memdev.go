@@ -383,23 +383,26 @@ func (d *Device) Crash(vt int64, dom durability.Domain) {
 	d.CrashWith(vt, dom, nil)
 }
 
-// MediaWriteLine writes a full line of payload directly to NVM media
-// and volatile, bypassing the WPQ. Used by the page cache when writing
-// back a dirty DRAM frame (the writeback itself is durable once
-// complete) and by recovery code.
-func (d *Device) MediaWriteLine(ln uint64, payload [WordsPerLine]uint64) {
-	base := ln << LineShift
-	if base >= d.nvmWords {
-		panic(fmt.Sprintf("memdev: MediaWriteLine of line %d beyond NVM", ln))
+// WriteMedia installs src as the media and volatile contents of the
+// NVM words [from, from+len(src)), bypassing the WPQ, under one hold
+// of the pending-set lock. The range must be whole lines: each line it
+// covers loses any pending flush (the write supersedes it) and is left
+// Clean. Reopening a saved image installs its body this way.
+func (d *Device) WriteMedia(from Addr, src []uint64) {
+	n := uint64(len(src))
+	if uint64(from)%WordsPerLine != 0 || n%WordsPerLine != 0 || uint64(from) > d.nvmWords || n > d.nvmWords-uint64(from) {
+		panic(fmt.Sprintf("memdev: WriteMedia of %d words at %#x is not whole NVM lines", n, uint64(from)))
 	}
 	d.mu.Lock()
-	d.pendingDelete(ln) // writeback supersedes any pending flush
-	for w := uint64(0); w < WordsPerLine; w++ {
-		d.nvmMedia[base+w] = payload[w]
-		atomic.StoreUint64(&d.nvmVol[base+w], payload[w])
+	copy(d.nvmMedia[from:], src)
+	for i, v := range src {
+		atomic.StoreUint64(&d.nvmVol[uint64(from)+uint64(i)], v)
+	}
+	for ln := LineOf(from); ln < LineOf(from)+n/WordsPerLine; ln++ {
+		d.pendingDelete(ln)
+		atomic.StoreUint32(&d.lineState[ln], LineClean)
 	}
 	d.mu.Unlock()
-	atomic.StoreUint32(&d.lineState[ln], LineClean)
 }
 
 // MediaLoad reads the media image directly. Only meaningful after
@@ -411,6 +414,18 @@ func (d *Device) MediaLoad(a Addr) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.nvmMedia[a]
+}
+
+// ReadMedia copies the media words [from, from+len(dst)) into dst
+// under one hold of the pending-set lock: MediaLoad for a whole range.
+// Saving an image reads the media this way.
+func (d *Device) ReadMedia(from Addr, dst []uint64) {
+	if uint64(from) > d.nvmWords || uint64(len(dst)) > d.nvmWords-uint64(from) {
+		panic(fmt.Sprintf("memdev: ReadMedia of %d words at %#x beyond NVM", len(dst), uint64(from)))
+	}
+	d.mu.Lock()
+	copy(dst, d.nvmMedia[from:])
+	d.mu.Unlock()
 }
 
 // DrainAll forces every pending WPQ entry onto media immediately, as

@@ -187,30 +187,67 @@ func TestQuiesceAppliesPending(t *testing.T) {
 	}
 }
 
-func TestMediaWriteLine(t *testing.T) {
+// TestReadWriteMedia: WriteMedia supersedes pending flushes and
+// leaves every line it covers Clean, visible in both images; ReadMedia
+// returns what MediaLoad returns word for word; a range that is not
+// whole NVM lines (WriteMedia) or not inside NVM (both) panics.
+func TestReadWriteMedia(t *testing.T) {
 	d := newDev(t)
-	var p [WordsPerLine]uint64
+	p := make([]uint64, 2*WordsPerLine)
 	for i := range p {
 		p[i] = uint64(i + 1)
 	}
-	d.Store(16, 999) // line 2 dirty, then superseded by writeback
+	d.Store(16, 999) // line 2 dirty, then superseded by the write
 	d.WPQAccept(2, 10)
-	d.MediaWriteLine(2, p)
-	if d.LineState(2) != LineClean {
-		t.Fatal("writeback did not clean line")
+	d.Store(24, 998) // line 3 dirty, flushed and fenced
+	d.WPQAccept(3, 20)
+	d.WPQMarkOrdered([]uint64{3})
+	d.Store(LineAddr(9), 9) // line 9 pending, outside the range
+	d.WPQAccept(9, 30)
+	d.WriteMedia(LineAddr(2), p)
+	for _, ln := range []uint64{2, 3} {
+		if d.LineState(ln) != LineClean {
+			t.Fatalf("write did not clean line %d", ln)
+		}
 	}
-	if d.PendingLines() != 0 {
-		t.Fatal("writeback did not supersede pending flush")
+	if d.PendingLines() != 1 {
+		t.Fatalf("pending lines = %d, want only line 9's", d.PendingLines())
 	}
 	for i := range p {
 		if d.Load(Addr(16+i)) != uint64(i+1) {
-			t.Fatal("writeback not visible in volatile image")
+			t.Fatal("write not visible in volatile image")
 		}
 	}
 	d.Crash(0, durability.NoReserve)
-	if d.Load(16) != 1 {
-		t.Fatal("media writeback lost on crash")
+	if d.Load(16) != 1 || d.Load(31) != 16 {
+		t.Fatal("media write lost on crash")
 	}
+
+	got := make([]uint64, d.NVMWords())
+	d.ReadMedia(0, got)
+	for a, v := range got {
+		if want := d.MediaLoad(Addr(a)); v != want {
+			t.Fatalf("ReadMedia word %d = %d, MediaLoad = %d", a, v, want)
+		}
+	}
+	d.ReadMedia(Addr(d.NVMWords()), nil) // an empty range at the end is no error
+
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	nvm := Addr(d.NVMWords())
+	panics("ReadMedia past NVM", func() { d.ReadMedia(nvm-4, make([]uint64, 8)) })
+	panics("ReadMedia of DRAM", func() { d.ReadMedia(DRAMBase, make([]uint64, 1)) })
+	panics("WriteMedia past NVM", func() { d.WriteMedia(nvm-8, make([]uint64, 16)) })
+	panics("WriteMedia unaligned start", func() { d.WriteMedia(4, make([]uint64, 8)) })
+	panics("WriteMedia partial line", func() { d.WriteMedia(8, make([]uint64, 12)) })
+	panics("WriteMedia of DRAM", func() { d.WriteMedia(DRAMBase, make([]uint64, 8)) })
 }
 
 func TestMediaLoad(t *testing.T) {
@@ -377,7 +414,7 @@ func TestDrainAllAppliesEachLiveLineOnce(t *testing.T) {
 	// the drain must skip.
 	d.Store(LineAddr(7), 77)
 	d.WPQAccept(7, 300)
-	d.MediaWriteLine(7, [WordsPerLine]uint64{7})
+	d.WriteMedia(LineAddr(7), []uint64{7, 0, 0, 0, 0, 0, 0, 0})
 	n, maxVT := d.DrainAll()
 	if n != 3 || maxVT != 900 {
 		t.Fatalf("DrainAll = (%d, %d), want (3, 900)", n, maxVT)
@@ -442,11 +479,11 @@ func TestMediaObserverSeesSupersedeCommit(t *testing.T) {
 	if v := d.MediaLoad(LineAddr(5)); v != 2 {
 		t.Fatalf("media line 5 = %d after drain, want 2", v)
 	}
-	// MediaWriteLine writes media directly.
-	var p [WordsPerLine]uint64
+	// WriteMedia writes media directly.
+	p := make([]uint64, WordsPerLine)
 	p[0] = 7
-	d.MediaWriteLine(6, p)
+	d.WriteMedia(LineAddr(6), p)
 	if v := d.MediaLoad(LineAddr(6)); v != 7 {
-		t.Fatalf("media line 6 = %d after MediaWriteLine, want 7", v)
+		t.Fatalf("media line 6 = %d after WriteMedia, want 7", v)
 	}
 }

@@ -64,13 +64,15 @@ const (
 	walBatchHdrSize = 16
 )
 
-const fnvOffset64 = 14695981039346656037
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 func fnv64(h uint64, b []byte) uint64 {
-	const prime = 1099511628211
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime
+		h *= fnvPrime64
 	}
 	return h
 }

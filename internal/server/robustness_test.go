@@ -331,6 +331,18 @@ func TestCorruptImageRejectedTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// zeroPageAt is the file offset of the body's first all-zero page.
+	body := 12 + int(binary.LittleEndian.Uint32(good[8:12]))
+	zeroPageAt := -1
+	for p := body; p+imagePage <= len(good); p += imagePage {
+		if bytes.Equal(good[p:p+imagePage], zeroPage[:]) {
+			zeroPageAt = p
+			break
+		}
+	}
+	if zeroPageAt < 0 {
+		t.Fatal("image body has no all-zero page")
+	}
 
 	cases := []struct {
 		name string
@@ -351,6 +363,13 @@ func TestCorruptImageRejectedTyped(t *testing.T) {
 		{"garbage header json", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[12] = '!' // clobber the JSON opening brace
+			return c
+		}},
+		// The page the checksum's zero-page shortcut skips: one set
+		// byte must still be caught.
+		{"byte set in zero page", func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[zeroPageAt+imagePage/2] = 0x01
 			return c
 		}},
 	}

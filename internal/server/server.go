@@ -34,7 +34,7 @@
 package server
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -230,6 +230,40 @@ type imageHeader struct {
 	BodyFNV uint64 `json:"body_fnv"`
 }
 
+// imagePage is the span imageSum examines at once.
+const imagePage = 4096
+
+var (
+	zeroPage [imagePage]byte
+	// zeroPageMul is what FNV-1a over one all-zero page multiplies its
+	// state by: a zero byte leaves the xor step a no-op, so each one is
+	// just h *= prime.
+	zeroPageMul = func() uint64 {
+		m := uint64(1)
+		for range imagePage {
+			m *= fnvPrime64
+		}
+		return m
+	}()
+)
+
+// imageSum is fnv64(h, b), but an all-zero page costs one multiply
+// instead of 4096: most of a store's media is never written.
+func imageSum(h uint64, b []byte) uint64 {
+	for ; len(b) >= imagePage; b = b[imagePage:] {
+		if bytes.Equal(b[:imagePage], zeroPage[:]) {
+			h *= zeroPageMul
+		} else {
+			h = fnv64(h, b[:imagePage])
+		}
+	}
+	return fnv64(h, b)
+}
+
+// imageChunkWords is how many media words SaveImage and OpenDurable
+// move per locked device copy (256 KiB of image body).
+const imageChunkWords = 32 << 10
+
 // SaveImage writes the NVM media image and the store geometry to
 // path. Call it only on a quiescent machine whose media image is
 // final — after Crash (power-failure semantics; recovery will run on
@@ -238,13 +272,24 @@ type imageHeader struct {
 func (st *Store) SaveImage(path string) error {
 	dev := st.tm.Bus().Device()
 	nvm := dev.NVMWords()
+	words := make([]uint64, imageChunkWords)
+	buf := make([]byte, 0, 8*imageChunkWords)
+	// chunk returns the media chunk that starts at word a, encoded
+	// little-endian in buf, which the next call reuses.
+	chunk := func(a uint64) []byte {
+		w := words[:min(imageChunkWords, nvm-a)]
+		dev.ReadMedia(memdev.Addr(a), w)
+		buf = buf[:0]
+		for _, v := range w {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		return buf
+	}
 	// First pass: checksum the media body (the header carries it, and
 	// the header is written first).
-	var scratch [8]byte
 	sum := uint64(fnvOffset64)
-	for a := memdev.Addr(0); a < memdev.Addr(nvm); a++ {
-		binary.LittleEndian.PutUint64(scratch[:], dev.MediaLoad(a))
-		sum = fnv64(sum, scratch[:])
+	for a := uint64(0); a < nvm; a += imageChunkWords {
+		sum = imageSum(sum, chunk(a))
 	}
 	hdr, err := json.Marshal(imageHeader{
 		Algo:          int(st.cfg.Algo),
@@ -267,18 +312,18 @@ func (st *Store) SaveImage(path string) error {
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	w.Write(imageMagic[:])
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(hdr)))
-	w.Write(scratch[:4])
-	w.Write(hdr)
-	for a := memdev.Addr(0); a < memdev.Addr(nvm); a++ {
-		binary.LittleEndian.PutUint64(scratch[:], dev.MediaLoad(a))
-		w.Write(scratch[:])
-	}
-	if err := w.Flush(); err != nil {
+	head := make([]byte, 0, 12+len(hdr))
+	head = append(head, imageMagic[:]...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(hdr)))
+	if _, err := f.Write(append(head, hdr...)); err != nil {
 		f.Close()
 		return err
+	}
+	for a := uint64(0); a < nvm; a += imageChunkWords {
+		if _, err := f.Write(chunk(a)); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	// Flush file contents to stable storage before the rename: renaming
 	// a still-dirty file can expose a new name pointing at unwritten
@@ -407,7 +452,7 @@ func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 	if uint64(len(body)) != hdr.NVMWords*8 {
 		return nil, fmt.Errorf("%w: body is %d bytes, want %d", ErrCorruptImage, len(body), hdr.NVMWords*8)
 	}
-	if sum := fnv64(fnvOffset64, body); sum != hdr.BodyFNV {
+	if sum := imageSum(fnvOffset64, body); sum != hdr.BodyFNV {
 		return nil, fmt.Errorf("%w: body checksum %#x, header says %#x", ErrCorruptImage, sum, hdr.BodyFNV)
 	}
 
@@ -419,13 +464,13 @@ func OpenDurable(path string, cfg StoreConfig) (*Store, error) {
 	if dev.NVMWords() != hdr.NVMWords {
 		return nil, fmt.Errorf("%w: NVM geometry %d words does not match config-derived %d", ErrCorruptImage, hdr.NVMWords, dev.NVMWords())
 	}
-	var payload [memdev.WordsPerLine]uint64
-	for ln := uint64(0); ln < hdr.NVMWords/memdev.WordsPerLine; ln++ {
-		base := ln * memdev.WordsPerLine * 8
-		for w := range payload {
-			payload[w] = binary.LittleEndian.Uint64(body[base+uint64(w)*8:])
+	words := make([]uint64, imageChunkWords)
+	for a := uint64(0); a < hdr.NVMWords; a += imageChunkWords {
+		w := words[:min(imageChunkWords, hdr.NVMWords-a)]
+		for i := range w {
+			w[i] = binary.LittleEndian.Uint64(body[(a+uint64(i))*8:])
 		}
-		dev.MediaWriteLine(ln, payload)
+		dev.WriteMedia(memdev.Addr(a), w)
 	}
 	return load(bus, cfg, hdr.Generation, WALPath(path))
 }
